@@ -56,9 +56,7 @@ class BurnsideElement:
 
     @classmethod
     def one(cls, n: int, i: int) -> "BurnsideElement":
-        cs = [Fraction(0)] * (i + 1)
-        cs[0] = Fraction(1)
-        return cls(GroupLevel(n, i), tuple(cs))
+        return cls(GroupLevel(n, i), (Fraction(1),) + (Fraction(0),) * i)
 
     @classmethod
     def x(cls, n: int, i: int, j: int) -> "BurnsideElement":

@@ -22,11 +22,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__
 from .burnside import BurnsideElement, from_marks, idempotents
@@ -34,49 +32,9 @@ from .classifying import (bgs1_presentation, bsigma2_consistency, collapse,
                           collapse_expand, fixed_point_data, gm_assemble,
                           torus_check_su2, torus_check_u)
 from .mackey import MackeyClass, NonSignIsotypicError
-from .rolattice import DegreeSyntaxError, VirtualRep, parse_degree
-from .stems import (STEM_METHODS, SectorElement, TupleAmbiguityError,
+from .rolattice import VirtualRep, parse_degree
+from .stems import (STEM_METHODS, SectorElement, TupleAmbiguityError, box_degrees,
                     lattice_mismatches, point_presentation, sphere_homology)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: subcommand name, output format and sink,
-    plus the subcommand's own parameters.  Fully deterministic (there
-    is no seed anywhere in the library)."""
-
-    command: str
-    format: str
-    out: str | None
-    params: Mapping[str, Any]
-
-    @classmethod
-    def from_namespace(cls, ns: argparse.Namespace) -> "RunConfig":
-        skip = {"command", "format", "out", "handler"}
-        params = {k: v for k, v in vars(ns).items() if k not in skip}
-        return cls(command=ns.command,
-                   format=getattr(ns, "format", "text"),
-                   out=getattr(ns, "out", None),
-                   params=params)
-
-    def __getattr__(self, name: str) -> Any:
-        # convenience so handlers can say cfg.n, cfg.maxdeg, ...
-        if name.startswith("_") or name == "params":
-            raise AttributeError(name)
-        try:
-            return self.params[name]
-        except KeyError:
-            raise AttributeError(name) from None
-
-
-def box_degrees(n: int, bound: int) -> Iterator[VirtualRep]:
-    """All degrees with coordinates in [-bound, bound]: d, then s, then
-    the rotation coefficients (for n = 0 only d exists)."""
-    for coords in product(range(-bound, bound + 1), repeat=n + 1):
-        if n == 0:
-            yield VirtualRep(0, coords[0], 0, ())
-        else:
-            yield VirtualRep(n, coords[0], coords[1], tuple(coords[2:]))
 
 
 def compare_methods(n: int, bound: int,
@@ -239,7 +197,7 @@ def _check_negative_control() -> str | None:
     return None
 
 
-def run_selftest(deep: bool = False) -> tuple[list[str], list[dict], int]:
+def run_selftest(deep: bool = False) -> tuple[list[dict], int]:
     n_max, box = (3, 3) if deep else (2, 2)
     checks: list[tuple[str, Callable[[], str | None]]] = [
         ("three_way_agreement", lambda: _check_three_way(n_max, box)),
@@ -251,23 +209,18 @@ def run_selftest(deep: bool = False) -> tuple[list[str], list[dict], int]:
         ("collapse_roundtrip", lambda: _check_collapse(8 if deep else 5)),
         ("negative_control", _check_negative_control),
     ]
-    rows, records, status = [], [], 0
+    records = []
     for name, fn in checks:
         detail = fn()
-        ok = detail is None
-        rows.append(f"check={name} | status={'ok' if ok else 'FAIL'}"
-                    + ("" if ok else f" | detail={detail}"))
-        records.append({"check": name, "ok": ok, "detail": detail})
-        if not ok:
-            status = 1
-    rows.append(f"checks={len(checks)} | failed={sum(1 for r in records if not r['ok'])}")
-    records.append({"checks": len(checks),
-                    "failed": sum(1 for r in records if not r.get("ok", True))})
-    return rows, records, status
+        records.append({"check": name, "ok": detail is None, "detail": detail})
+    failed = sum(1 for r in records if not r["ok"])
+    records.append({"checks": len(checks), "failed": failed})
+    return records, 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns (rows, records, exit status).
+# Subcommand handlers.  Each returns (records, exit status); the text
+# rows are derived from the records by ``text_rows``.
 
 def _class_record(cls: MackeyClass) -> dict:
     rec = cls.to_record()
@@ -275,185 +228,203 @@ def _class_record(cls: MackeyClass) -> dict:
     return rec
 
 
-def cmd_stems(args) -> tuple[list[str], list[dict], int]:
+def cmd_stems(args: argparse.Namespace) -> tuple[list[dict], int]:
     names = [args.method] if args.method else sorted(STEM_METHODS)
     table = {name: STEM_METHODS[name] for name in names}
-    rows, records = [], []
+
+    def record(v: VirtualRep, results: Mapping[str, MackeyClass]) -> dict:
+        return {"command": "stems", "n": args.n, "degree": str(v),
+                "results": {name: _class_record(results[name]) for name in names},
+                "agree": len(set(results.values())) == 1}
+
     if args.degree is not None:
         v = parse_degree(args.degree, args.n)
-        results = {name: fn(v) for name, fn in table.items()}
-        agree = len(set(results.values())) == 1
-        cols = " | ".join(f"{name}={results[name]}" for name in names)
-        rows.append(f"n={args.n} | degree={v} | {cols} | agree={'yes' if agree else 'no'}")
-        records.append({"command": "stems", "n": args.n, "degree": str(v),
-                        "results": {name: _class_record(results[name]) for name in names},
-                        "agree": agree})
-        return rows, records, 0 if agree else 1
+        rec = record(v, {name: fn(v) for name, fn in table.items()})
+        return [rec], 0 if rec["agree"] else 1
     checked, bad = compare_methods(args.n, args.scan, table)
-    for v, results in bad:
-        cols = " | ".join(f"{name}={results[name]}" for name in names)
-        rows.append(f"degree={v} | {cols} | agree=no")
-        records.append({"command": "stems", "n": args.n, "degree": str(v),
-                        "results": {name: _class_record(results[name]) for name in names},
-                        "agree": False})
-    rows.append(f"n={args.n} | scanned={checked} | disagreements={len(bad)}")
+    records = [record(v, results) for v, results in bad]
     records.append({"command": "stems", "n": args.n, "scanned": checked,
                     "disagreements": len(bad)})
-    return rows, records, 1 if bad else 0
+    return records, 1 if bad else 0
 
 
-def cmd_sphere(args) -> tuple[list[str], list[dict], int]:
+def cmd_sphere(args: argparse.Namespace) -> tuple[list[dict], int]:
     v = parse_degree(args.rep, args.n)
     table = sphere_homology(v)
-    rows, records = [], []
-    for d in table.degrees():
-        cls = table.get(d)
-        dims = [cls.level_dim(h) for h in range(args.n + 1)]
-        rows.append(f"degree={d} | class={cls} | level_dims=" + ",".join(map(str, dims)))
-        records.append({"command": "sphere", "n": args.n, "sphere": str(v),
-                        "degree": d, "class": _class_record(cls), "level_dims": dims})
-    return rows, records, 0
+    return [{"command": "sphere", "n": args.n, "sphere": str(v), "degree": d,
+             "class": _class_record(cls),
+             "level_dims": [cls.level_dim(h) for h in range(args.n + 1)]}
+            for d, cls in table.entries], 0
 
 
-def cmd_point_presentation(args) -> tuple[list[str], list[dict], int]:
+def cmd_point_presentation(args: argparse.Namespace) -> tuple[list[dict], int]:
     pres = point_presentation(args.n)
-    rows, records = [], []
-    for g in pres.generators:
-        rows.append(f"family={g.family} | sector={g.sector} | degree={g.degree} | "
-                    f"name={g.name} | partner={g.partner} | spans={g.spans()}")
-        records.append({"command": "point-presentation", "kind": "generator",
-                        "family": g.family, "sector": g.sector,
-                        "lam_index": g.lam_index, "degree": str(g.degree),
-                        "name": g.name, "partner": g.partner, "spans": g.spans()})
-    for rel in pres.relations:
-        rows.append(f"relation={rel}")
-        records.append({"command": "point-presentation", "kind": "relation",
-                        "relation": rel})
-    rows.append(f"normalization={pres.normalization}")
-    rows.append(f"generators={pres.generator_count()}")
+    records = [{"command": "point-presentation", "kind": "generator",
+                "family": g.family, "sector": g.sector,
+                "lam_index": g.lam_index, "degree": str(g.degree),
+                "name": g.name, "partner": g.partner, "spans": g.spans()}
+               for g in pres.generators]
+    records += [{"command": "point-presentation", "kind": "relation", "relation": rel}
+                for rel in pres.relations]
     records.append({"command": "point-presentation", "kind": "summary",
                     "normalization": pres.normalization,
                     "generators": pres.generator_count()})
-    return rows, records, 0
+    return records, 0
 
 
-def cmd_burnside(args) -> tuple[list[str], list[dict], int]:
+def cmd_burnside(args: argparse.Namespace) -> tuple[list[dict], int]:
     level = args.n if args.level is None else args.level
     basis = [("1", BurnsideElement.one(args.n, level))]
     basis += [(f"x[{level},{j}]", BurnsideElement.x(args.n, level, j))
               for j in range(level)]
-    rows, records = [], []
-    for name, elem in basis:
-        marks = ",".join(str(q) for q in elem.marks())
-        rows.append(f"element={name} | marks={marks}")
-        records.append({"command": "burnside", "n": args.n, "level": level,
-                        "element": name, "marks": [str(q) for q in elem.marks()]})
-    for h, e in enumerate(idempotents(args.n, level)):
-        rows.append(f"idempotent=e{h} | expansion={e}")
-        records.append({"command": "burnside", "n": args.n, "level": level,
-                        "idempotent": h, "expansion": str(e),
-                        "element_record": e.to_record()})
-    return rows, records, 0
+    records = [{"command": "burnside", "n": args.n, "level": level,
+                "element": name, "marks": [str(q) for q in elem.marks()]}
+               for name, elem in basis]
+    records += [{"command": "burnside", "n": args.n, "level": level,
+                 "idempotent": h, "expansion": str(e), "element_record": e.to_record()}
+                for h, e in enumerate(idempotents(args.n, level))]
+    return records, 0
 
 
-def cmd_bgs1(args) -> tuple[list[str], list[dict], int]:
+def cmd_bgs1(args: argparse.Namespace) -> tuple[list[dict], int]:
     pres = bgs1_presentation(args.n, args.maxdeg)
     assembled = gm_assemble(fixed_point_data("bs1", args.n, args.maxdeg))
     matches = pres.table == assembled
-    rows, records = [], []
-    for name, deg in pres.degrees:
-        rows.append(f"generator={name} | degree={deg}")
-        records.append({"command": "bgs1", "kind": "generator",
-                        "name": name, "degree": deg})
-    for rel in pres.relations:
-        rows.append(f"relation={rel}")
-        records.append({"command": "bgs1", "kind": "relation", "relation": rel})
-    for m, elem in pres.completion:
-        rows.append(f"completion | conductor={m} | element={elem}")
-        records.append({"command": "bgs1", "kind": "completion", "conductor": m,
-                        "element": str(elem), "element_record": elem.to_record()})
-    for d in pres.table.degrees():
-        rows.append(f"degree={d} | class={pres.table.get(d)}")
-        records.append({"command": "bgs1", "kind": "table", "degree": d,
-                        "class": _class_record(pres.table.get(d))})
-    rows.append(f"top_series={pres.top_series()}")
-    rows.append(f"matches_assembly={'yes' if matches else 'no'}")
+    records = [{"command": "bgs1", "kind": "generator", "name": name, "degree": deg}
+               for name, deg in pres.degrees]
+    records += [{"command": "bgs1", "kind": "relation", "relation": rel}
+                for rel in pres.relations]
+    records += [{"command": "bgs1", "kind": "completion", "conductor": m,
+                 "element": str(elem), "element_record": elem.to_record()}
+                for m, elem in pres.completion]
+    records += [{"command": "bgs1", "kind": "table", "degree": d,
+                 "class": _class_record(cls)}
+                for d, cls in pres.table.entries]
     records.append({"command": "bgs1", "kind": "summary", "n": args.n,
                     "maxdeg": args.maxdeg, "top_series": str(pres.top_series()),
                     "matches_assembly": matches})
-    return rows, records, 0 if matches else 1
+    return records, 0 if matches else 1
 
 
-def cmd_bgsigma2(args) -> tuple[list[str], list[dict], int]:
+def cmd_bgsigma2(args: argparse.Namespace) -> tuple[list[dict], int]:
     diagram = fixed_point_data("bsigma2", args.n, args.maxdeg)
     table = gm_assemble(diagram)
-    rows, records = [], []
-    for h in range(args.n + 1):
-        rows.append(f"level={h} | components={diagram.level(h).count()}")
-        records.append({"command": "bgsigma2", "kind": "level", "level": h,
-                        "components": diagram.level(h).count()})
-    for d in table.degrees():
-        cls = table.get(d)
-        dims = [cls.level_dim(h) for h in range(args.n + 1)]
-        rows.append(f"degree={d} | class={cls} | level_dims=" + ",".join(map(str, dims)))
-        records.append({"command": "bgsigma2", "kind": "table", "degree": d,
-                        "class": _class_record(cls), "level_dims": dims})
-    return rows, records, 0
+    records = [{"command": "bgsigma2", "kind": "level", "level": h,
+                "components": level.count()}
+               for h, level in enumerate(diagram.levels)]
+    records += [{"command": "bgsigma2", "kind": "table", "degree": d,
+                 "class": _class_record(cls),
+                 "level_dims": [cls.level_dim(h) for h in range(args.n + 1)]}
+                for d, cls in table.entries]
+    return records, 0
 
 
-def cmd_bgu(args) -> tuple[list[str], list[dict], int]:
+def cmd_bgu(args: argparse.Namespace) -> tuple[list[dict], int]:
     diagram = fixed_point_data("bu", args.n, args.maxdeg, m=args.m)
-    rows, records = [], []
-    for h in range(args.n + 1):
-        level = diagram.level(h)
-        rows.append(f"level={h} | components={level.count()} | "
-                    f"series={level.total_series()}")
-        records.append({"command": "bgu", "kind": "level", "n": args.n, "m": args.m,
-                        "level": h, "components": level.count(),
-                        "series": str(level.total_series())})
-    return rows, records, 0
+    return [{"command": "bgu", "kind": "level", "n": args.n, "m": args.m, "level": h,
+             "components": level.count(), "series": str(level.total_series())}
+            for h, level in enumerate(diagram.levels)], 0
 
 
-def cmd_torus_check(args) -> tuple[list[str], list[dict], int]:
-    rows, records = [], []
+def cmd_torus_check(args: argparse.Namespace) -> tuple[list[dict], int]:
     if args.lie == "um":
         result = torus_check_u(args.n, args.m, args.maxdeg)
-        for h, lhs, rhs in result.levels:
-            match = "yes" if lhs == rhs else "no"
-            rows.append(f"level={h} | lhs={lhs} | rhs={rhs} | match={match}")
-            records.append({"command": "torus-check", "lie": "um", "n": args.n,
-                            "m": args.m, "level": h, "lhs": str(lhs),
-                            "rhs": str(rhs), "match": lhs == rhs})
-        rows.append(f"verdict={result.verdict()}")
+        records = [{"command": "torus-check", "lie": "um", "n": args.n, "m": args.m,
+                    "level": h, "lhs": str(lhs), "rhs": str(rhs), "match": lhs == rhs}
+                   for h, lhs, rhs in result.levels]
         records.append({"command": "torus-check", "lie": "um", "n": args.n,
                         "m": args.m, "verdict": result.verdict()})
-        return rows, records, 0 if result.holds() else 1
+        return records, 0 if result.holds() else 1
     result = torus_check_su2(args.n, action=args.su2_torus_action)
-    rows.append(f"action={result.action} | lhs={result.lhs}"
-                f" | rhs={result.rhs} | verdict={result.verdict()}")
-    records.append({"command": "torus-check", "lie": "su2", "n": args.n,
-                    "action": result.action, "lhs": result.lhs,
-                    "rhs": result.rhs, "verdict": result.verdict()})
-    return rows, records, 0
+    return [{"command": "torus-check", "lie": "su2", "n": args.n,
+             "action": result.action, "lhs": result.lhs,
+             "rhs": result.rhs, "verdict": result.verdict()}], 0
 
 
-def cmd_consistency(args) -> tuple[list[str], list[dict], int]:
+def cmd_consistency(args: argparse.Namespace) -> tuple[list[dict], int]:
     comp = bsigma2_consistency(args.n, args.maxdeg)
-    rows, records = [], []
-    for degree, level, da, dq in comp.differences:
-        rows.append(f"degree={degree} | level={level} | assembled={da} | quotient={dq}")
-        records.append({"command": "consistency", "target": args.target,
-                        "n": args.n, "degree": degree,
-                        "level": level, "assembled": da, "quotient": dq})
-    agree = "yes" if comp.agree() else "no"
-    rows.append(f"differences={len(comp.differences)} | agree={agree}")
+    records = [{"command": "consistency", "target": args.target, "n": args.n,
+                "degree": degree, "level": level, "assembled": da, "quotient": dq}
+               for degree, level, da, dq in comp.differences]
     records.append({"command": "consistency", "target": args.target, "n": args.n,
                     "differences": len(comp.differences), "agree": comp.agree()})
-    return rows, records, 0
+    return records, 0
 
 
-def cmd_selftest(args) -> tuple[list[str], list[dict], int]:
+def cmd_selftest(args: argparse.Namespace) -> tuple[list[dict], int]:
     return run_selftest(deep=args.deep)
+
+
+# ---------------------------------------------------------------------------
+# Text rows.
+
+def _field(key: str, value: Any) -> str:
+    if isinstance(value, bool):
+        value = "yes" if value else "no"
+    elif isinstance(value, dict):  # a class record
+        value = value["text"]
+    elif isinstance(value, list):
+        value = ",".join(map(str, value))
+    return f"{key}={value}"
+
+
+def _fields(rec: dict, *keys: str) -> str:
+    return " | ".join(_field(key, rec[key]) for key in keys)
+
+
+def text_rows(args: argparse.Namespace, rec: dict) -> list[str]:
+    """The text rows of one record.  Most records give one row of some
+    of their fields in a fixed order; the point-presentation and bgs1
+    summaries give one row per field.  The namespace settles what the
+    record alone does not."""
+    match args.command, rec:
+        case "stems", {"results": results}:
+            # a --degree answer names n, a --scan disagreement does not
+            head = ["n"] if args.degree is not None else []
+            cols = [_field(name, cls) for name, cls in results.items()]
+            return [" | ".join([_fields(rec, *head, "degree"), *cols,
+                                _field("agree", rec["agree"])])]
+        case "stems", _:
+            return [_fields(rec, "n", "scanned", "disagreements")]
+        case ("sphere", _) | ("bgsigma2", {"kind": "table"}):
+            return [_fields(rec, "degree", "class", "level_dims")]
+        case "point-presentation", {"kind": "generator"}:
+            return [_fields(rec, "family", "sector", "degree", "name", "partner", "spans")]
+        case "point-presentation" | "bgs1", {"kind": "relation"}:
+            return [_fields(rec, "relation")]
+        case "point-presentation", _:
+            return [_fields(rec, "normalization"), _fields(rec, "generators")]
+        case "burnside", {"element": _}:
+            return [_fields(rec, "element", "marks")]
+        case "burnside", _:
+            return [f"idempotent=e{rec['idempotent']} | {_fields(rec, 'expansion')}"]
+        case "bgs1", {"kind": "generator"}:
+            return [f"generator={rec['name']} | {_fields(rec, 'degree')}"]
+        case "bgs1", {"kind": "completion"}:
+            return ["completion | " + _fields(rec, "conductor", "element")]
+        case "bgs1", {"kind": "table"}:
+            return [_fields(rec, "degree", "class")]
+        case "bgs1", _:
+            return [_fields(rec, "top_series"), _fields(rec, "matches_assembly")]
+        case "bgsigma2", _:
+            return [_fields(rec, "level", "components")]
+        case "bgu", _:
+            return [_fields(rec, "level", "components", "series")]
+        case "torus-check", {"lie": "su2"}:
+            return [_fields(rec, "action", "lhs", "rhs", "verdict")]
+        case "torus-check", {"verdict": _}:
+            return [_fields(rec, "verdict")]
+        case "torus-check", _:
+            return [_fields(rec, "level", "lhs", "rhs", "match")]
+        case "consistency", {"differences": _}:
+            return [_fields(rec, "differences", "agree")]
+        case "consistency", _:
+            return [_fields(rec, "degree", "level", "assembled", "quotient")]
+        case "selftest", {"check": check, "ok": ok}:
+            row = f"check={check} | status={'ok' if ok else 'FAIL'}"
+            return [row if ok else f"{row} | detail={rec['detail']}"]
+        case _:  # the selftest summary
+            return [_fields(rec, "checks", "failed")]
 
 
 # ---------------------------------------------------------------------------
@@ -533,6 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("consistency", parents=[common],
                        help="compare two candidate answers for one space")
+    # one choice only, but every records line carries "target": "bsigma2"
     p.add_argument("target", choices=["bsigma2"],
                    help="which comparison to run")
     p.add_argument("--n", type=int, required=True)
@@ -547,35 +519,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(cfg: RunConfig, rows: list[str], records: list[dict]) -> None:
-    if cfg.format == "records":
-        text = "\n".join(json.dumps(rec, sort_keys=True) for rec in records)
-    else:
-        text = "\n".join(rows)
-    print(text)
-    if cfg.out:
-        Path(cfg.out).write_text(text + "\n", encoding="utf-8")
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    cfg = RunConfig.from_namespace(args)
     try:
-        rows, records, status = args.handler(cfg)
+        records, status = args.handler(args)
     except (TupleAmbiguityError, NonSignIsotypicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DegreeSyntaxError as exc:
+    except ValueError as exc:  # degree syntax errors included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(cfg, rows, records)
+    if args.format == "records":
+        lines = [json.dumps(rec, sort_keys=True) for rec in records]
+    else:
+        lines = [row for rec in records for row in text_rows(args, rec)]
+    text = "\n".join(lines)
+    print(text)
+    if args.out:
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
     return status
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .mackey import MINUS, PLUS, GradedTable, MackeyClass, classify
 from .rolattice import VirtualRep
@@ -634,6 +634,15 @@ def fixed_point_rings(n: int) -> FixedPointRings:
     return FixedPointRings(n)
 
 
+def box_degrees(n: int, bound: int) -> Iterator[VirtualRep]:
+    """All degrees with coordinates in [-bound, bound]: d, then s, then
+    the rotation coefficients (for n = 0 only d exists)."""
+    if n < 0:
+        raise ValueError("group exponent n must be >= 0")
+    return (VirtualRep(n, coords[0], coords[1] if n else 0, coords[2:])
+            for coords in product(range(-bound, bound + 1), repeat=n + 1))
+
+
 def lattice_mismatches(n: int, bound: int) -> list[str]:
     """Compare the two fixed-point lattices against stem multiplicities
     over the coordinate box [-bound, bound]^(n+1): the geometric lattice
@@ -642,8 +651,7 @@ def lattice_mismatches(n: int, bound: int) -> list[str]:
     empty)."""
     rings = fixed_point_rings(n)
     bad = []
-    for coords in product(range(-bound, bound + 1), repeat=n + 1):
-        v = VirtualRep(n, coords[0], coords[1], coords[2:])
+    for v in box_degrees(n, bound):
         cls = stem_at(v)
         if rings.geometric_dim(v) != cls.mult(n, PLUS):
             bad.append(f"geometric lattice disagrees with M{n} multiplicity at {v}")

@@ -243,3 +243,6 @@ def test_validation():
         BurnsideElement.one(2, 1) + BurnsideElement.one(2, 2)
     with pytest.raises(ValueError):
         from_marks(2, 1, [1, 2, 3])
+    for n, i in [(3, -1), (-1, -1)]:
+        with pytest.raises(ValueError):
+            BurnsideElement.one(n, i)

@@ -242,6 +242,15 @@ def test_value_errors_are_usage_errors(capsys):
     status, _, err = run_lines(capsys, ["point-presentation", "--n", "0"])
     assert status == 2
     assert "error: the presentation needs n >= 1" in err
+    status, lines, err = run_lines(capsys, ["stems", "--n", "-1", "--scan", "1"])
+    assert (status, lines) == (2, [])
+    assert err == "error: group exponent n must be >= 0\n"
+    status, lines, err = run_lines(capsys, ["burnside", "--n", "3", "--level", "-1"])
+    assert (status, lines) == (2, [])
+    assert err == "error: level -1 outside 0..3\n"
+    status, lines, err = run_lines(capsys, ["burnside", "--n", "-1"])
+    assert (status, lines) == (2, [])
+    assert err == "error: ambient exponent n must be >= 1\n"
 
 
 def test_argparse_failures(capsys):
@@ -261,6 +270,11 @@ def test_argparse_failures(capsys):
 def test_box_degrees_exponent_zero():
     assert list(cli.box_degrees(0, 2)) == [
         VirtualRep(0, d, 0, ()) for d in range(-2, 3)]
+
+
+def test_box_degrees_rejects_negative_exponent():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        cli.box_degrees(-1, 1)
 
 
 def test_compare_methods_clean_and_injectable():
