@@ -35,9 +35,11 @@ idempotent basis.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import factorial, gcd, perm, prod
 from typing import Iterable, Iterator, Sequence
 
 from .burnside import BurnsideElement
@@ -118,13 +120,6 @@ class FixedPointDiagram:
         return self.levels[h]
 
 
-def _grouped(parts: Iterable[TruncatedSeries]) -> tuple[tuple[TruncatedSeries, int], ...]:
-    counts: dict[TruncatedSeries, int] = {}
-    for series in parts:
-        counts[series] = counts.get(series, 0) + 1
-    return tuple(sorted(counts.items(), key=lambda it: (it[0].coeffs, it[1])))
-
-
 def fixed_point_data(family: str, n: int, bound: int, m: int = 1) -> FixedPointDiagram:
     """Fixed-point diagrams of the built-in classifying-space families.
 
@@ -134,7 +129,8 @@ def fixed_point_data(family: str, n: int, bound: int, m: int = 1) -> FixedPointD
              above; components are rationally trivial.
     bu       conjugacy classes of homs to U(m) are eigenvalue
              multiplicity tuples (weak compositions of m into 2^h
-             parts); the centralizer is the matching product of
+             parts), grouped by partition with their arrangement
+             count; the centralizer is the matching product of
              unitary groups.
     bsu2     level 0 sees SU(2) itself; above, the two central values
              give BSU(2)-components and the 2^(h-1)-1 noncentral
@@ -157,13 +153,20 @@ def fixed_point_data(family: str, n: int, bound: int, m: int = 1) -> FixedPointD
         if m < 1:
             raise ValueError("bu needs m >= 1")
         for h in range(n + 1):
-            parts = []
-            for comp in compositions(m, 2 ** h):
+            counts: dict[TruncatedSeries, int] = {}
+            for comp in compositions(m, min(m, 2 ** h)):
+                if list(comp) != sorted(comp, reverse=True):
+                    continue
+                parts = [k for k in comp if k]
                 series = TruncatedSeries.one(bound)
-                for k in comp:
+                for k in parts:
                     series = series * bu_series(k, bound)
-                parts.append(series)
-            levels.append(LevelComponents(h, _grouped(parts)))
+                ways = perm(2 ** h, len(parts)) // prod(
+                    factorial(c) for c in Counter(parts).values())
+                # below degree 4 distinct partitions can share a series
+                counts[series] = counts.get(series, 0) + ways
+            levels.append(LevelComponents(
+                h, tuple(sorted(counts.items(), key=lambda it: it[0].coeffs))))
     elif family == "bsu2":
         sphere4 = TruncatedSeries.geometric(bound, 4)
         for h in range(n + 1):
@@ -257,8 +260,7 @@ class CirclePresentation:
 
 
 def bgs1_presentation(n: int, bound: int) -> CirclePresentation:
-    if n < 1:
-        raise ValueError("the circle presentation needs n >= 1")
+    table = _circle_table(n, bound)
     gens = ["w"]
     degrees = [("w", 2)]
     for m in range(1, n + 1):
@@ -278,12 +280,16 @@ def bgs1_presentation(n: int, bound: int) -> CirclePresentation:
         for _ in range(n - m):
             elem = elem.tr()
         completion.append((m, elem.scale(Fraction(1, 2 ** m))))
-    classes = {}
-    for d in range(0, bound + 1, 2):
-        classes[d] = MackeyClass(n, tuple((h, PLUS, 2 ** h) for h in range(n + 1)))
-    table = GradedTable.from_dict(n, classes)
     return CirclePresentation(n, bound, tuple(gens), tuple(degrees),
                               relations, tuple(completion), table)
+
+
+def _circle_table(n: int, bound: int) -> GradedTable:
+    """The circle table: 2^h copies of the level-h simple in each even degree."""
+    if n < 1:
+        raise ValueError("the circle presentation needs n >= 1")
+    cls = MackeyClass(n, tuple((h, PLUS, 2 ** h) for h in range(n + 1)))
+    return GradedTable.from_dict(n, {d: cls for d in range(0, bound + 1, 2)})
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +342,11 @@ def torus_check_u(n: int, m: int, bound: int) -> TorusCheckU:
     series of the U(m) fixed components must equal the Sigma_m-invariant
     part of the m-torus fixed components."""
     bu = fixed_point_data("bu", n, bound, m=m)
-    circle = TruncatedSeries.geometric(bound, 2)
+    torus = fixed_point_data("torus", n, bound, m=1)
     rows = []
     for h in range(n + 1):
         lhs = bu.level(h).total_series()
-        rhs = sym_invariants_series([circle] * 2 ** h, m, bound)
+        rhs = sym_invariants_series([torus.level(h).total_series()], m, bound)
         rows.append((h, lhs, rhs))
     return TorusCheckU(n, m, bound, tuple(rows))
 
@@ -382,14 +388,8 @@ def torus_check_su2(n: int, action: str = "trivial") -> TorusCheckSU2:
     if action == "trivial":
         rhs = labels
     else:
-        seen: set[int] = set()
-        rhs = 0
-        for j in range(labels):
-            if j in seen:
-                continue
-            rhs += 1
-            seen.add(j)
-            seen.add((-j) % labels)
+        # Burnside's lemma: average the N labels fixed by 1 and gcd(2, N) by j -> -j
+        rhs = (labels + gcd(2, labels)) // 2
     return TorusCheckSU2(n, action, lhs, rhs)
 
 
@@ -422,7 +422,7 @@ def bsigma2_consistency(n: int, bound: int = 6) -> SigmaTwoComparison:
     h >= 2 (dimension 1+2h against 2^(h+1)-1); both are reported.
     """
     assembled = gm_assemble(fixed_point_data("bsigma2", n, bound))
-    circle = bgs1_presentation(n, bound).table
+    circle = _circle_table(n, bound)
     for d in range(0, bound - 1, 2):
         if circle.get(d + 2) != circle.get(d):
             raise ValueError("circle table is not w-periodic; quotient model invalid")

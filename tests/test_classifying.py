@@ -1,8 +1,9 @@
 """Tests for the classifying-space diagrams and comparison checks.
 
 Independent oracles come first: a recursive composition enumerator, a
-partition-counting reference for the BU(k) series, and a brute-force
-multiset enumeration for symmetric invariants.  The assembled tables
+partition-counting reference for the BU(k) series, a walk over every
+composition for the BU(m) diagram, and a brute-force multiset
+enumeration for symmetric invariants.  The assembled tables
 and the comparison verdicts are then pinned against frozen values.
 """
 
@@ -49,6 +50,18 @@ def ref_bu_coeff(k, degree):
         for value in range(part, target + 1):
             ways[value] += ways[value - part]
     return ways[target]
+
+
+def ref_bu_components(m, slots, bound):
+    """One series product per weak composition of m into the slots,
+    equal products merged and counted."""
+    counts = {}
+    for comp in ref_compositions(m, slots):
+        series = TruncatedSeries.one(bound)
+        for k in comp:
+            series = series * bu_series(k, bound)
+        counts[series] = counts.get(series, 0) + 1
+    return tuple(sorted(counts.items(), key=lambda it: it[0].coeffs))
 
 
 def ref_sym_series(component_series, m, bound):
@@ -165,7 +178,7 @@ def test_two_point_diagram_counts():
 
 
 def test_unitary_diagram_counts():
-    for n, m in [(1, 1), (1, 2), (2, 2), (2, 3)]:
+    for n, m in [(1, 1), (1, 2), (2, 2), (2, 3), (6, 5), (30, 1)]:
         data = fixed_point_data("bu", n, 8, m=m)
         for h in range(n + 1):
             parts = 2 ** h
@@ -173,6 +186,16 @@ def test_unitary_diagram_counts():
     # one eigenvalue block per character: level 0 is plain BU(m)
     assert fixed_point_data("bu", 2, 8, m=3).level(0).total_series() == \
         bu_series(3, 8)
+
+
+def test_unitary_diagram_matches_composition_walk():
+    for n in range(1, 4):
+        for m in range(1, 5):
+            for bound in (0, 1, 2, 3, 8):
+                data = fixed_point_data("bu", n, bound, m=m)
+                for h in range(n + 1):
+                    assert data.level(h).components == \
+                        ref_bu_components(m, 2 ** h, bound)
 
 
 def test_su2_diagram_counts():
@@ -317,7 +340,7 @@ def test_circle_completion_elements():
 # ---------------------------------------------------------------------------
 # Torus comparisons.
 
-@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)])
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (4, 4), (5, 3)])
 def test_torus_method_holds_for_unitary_groups(n, m):
     check = torus_check_u(n, m, BOUND)
     assert check.holds()
@@ -346,7 +369,7 @@ def test_su2_counts():
 
 
 def test_su2_with_folded_components():
-    for n in range(1, 7):
+    for n in [*range(1, 7), 30]:
         check = torus_check_su2(n, action="permutation")
         assert check.lhs == check.rhs == 2 ** (n - 1) + 1
         assert check.holds()

@@ -167,6 +167,22 @@ def test_torus_check_su2_folded(capsys):
     assert lines == ["action=permutation | lhs=3 | rhs=3 | verdict=HOLDS"]
 
 
+@pytest.mark.parametrize("argv,last", [
+    (["bgu", "--n", "30", "--maxdeg", "2"],
+     "level=30 | components=1073741824 | series=1073741824 + 1073741824*t^2 + O(t^3)"),
+    (["torus-check", "--lie", "um", "--n", "30", "--m", "1", "--maxdeg", "2"],
+     "verdict=HOLDS"),
+    (["torus-check", "--lie", "su2", "--n", "30", "--su2-torus-action", "permutation"],
+     "action=permutation | lhs=536870913 | rhs=536870913 | verdict=HOLDS"),
+    (["consistency", "bsigma2", "--n", "30", "--maxdeg", "2"],
+     "differences=29 | agree=no"),
+])
+def test_large_n_is_answered(capsys, argv, last):
+    status, lines, _ = run_lines(capsys, argv)
+    assert status == 0
+    assert lines[-1] == last
+
+
 def test_consistency_report(capsys):
     status, lines, _ = run_lines(capsys, ["consistency", "bsigma2", "--n", "2"])
     assert status == 0
