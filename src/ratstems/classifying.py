@@ -66,11 +66,24 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(out)
 
 
+def _partitions(total: int, most: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """The partitions of ``total`` into at most ``most`` positive parts,
+    none above ``largest``, as nonincreasing tuples."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, largest), 0, -1):
+        if first * most < total:
+            break
+        for rest in _partitions(total - first, most - 1, first):
+            yield (first, *rest)
+
+
 def bu_series(k: int, bound: int) -> TruncatedSeries:
     """Rational cohomology series of BU(k): one polynomial generator in
-    each even degree 2, 4, ..., 2k."""
+    each even degree 2, 4, ..., 2k (those above the bound are 1)."""
     out = TruncatedSeries.one(bound)
-    for r in range(1, k + 1):
+    for r in range(1, min(k, bound // 2) + 1):
         out = out * TruncatedSeries.geometric(bound, 2 * r)
     return out
 
@@ -129,9 +142,9 @@ def fixed_point_data(family: str, n: int, bound: int, m: int = 1) -> FixedPointD
              above; components are rationally trivial.
     bu       conjugacy classes of homs to U(m) are eigenvalue
              multiplicity tuples (weak compositions of m into 2^h
-             parts), grouped by partition with their arrangement
-             count; the centralizer is the matching product of
-             unitary groups.
+             parts), walked as the partitions of m into at most 2^h
+             parts with their arrangement count; the centralizer is
+             the matching product of unitary groups.
     bsu2     level 0 sees SU(2) itself; above, the two central values
              give BSU(2)-components and the 2^(h-1)-1 noncentral
              character pairs give torus components.
@@ -154,10 +167,7 @@ def fixed_point_data(family: str, n: int, bound: int, m: int = 1) -> FixedPointD
             raise ValueError("bu needs m >= 1")
         for h in range(n + 1):
             counts: dict[TruncatedSeries, int] = {}
-            for comp in compositions(m, min(m, 2 ** h)):
-                if list(comp) != sorted(comp, reverse=True):
-                    continue
-                parts = [k for k in comp if k]
+            for parts in _partitions(m, 2 ** h, m):
                 series = TruncatedSeries.one(bound)
                 for k in parts:
                     series = series * bu_series(k, bound)

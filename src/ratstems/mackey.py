@@ -109,10 +109,6 @@ class MackeyClass:
                     out.append((i, s1 * s2, m1 * m2))
         return MackeyClass(self.n, tuple(out))
 
-    def dual(self) -> "MackeyClass":
-        """Every simple summand is self-dual."""
-        return self
-
     def level_dim(self, h: int) -> int:
         """Dimension of the value at the orbit G/C_{2^h}.
 

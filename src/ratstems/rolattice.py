@@ -239,7 +239,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
                 else:
                     col += 1
             continue
-        if lexeme.isdigit():
+        if lexeme.isdecimal():
             kind = "int"
         elif lexeme[0].isalpha() or lexeme[0] == "_":
             kind = "name"
@@ -278,6 +278,13 @@ class _DegreeParser:
         _, _, line, col = self.peek()
         return DegreeSyntaxError(message, line, col)
 
+    def number(self, digits: str, line: int, col: int) -> int:
+        try:
+            return int(digits)
+        except ValueError as exc:  # beyond the interpreter's digit limit
+            raise DegreeSyntaxError(f"integer literal of {len(digits)} digits is too long",
+                                    line, col) from exc
+
     def expect(self, kind: str) -> tuple[str, str, int, int]:
         if self.peek()[0] != kind:
             raise self.fail(f"expected {kind!r}, found {self.peek()[1]!r}")
@@ -298,10 +305,10 @@ class _DegreeParser:
         return total
 
     def term(self) -> VirtualRep:
-        kind, lexeme, _, _ = self.peek()
+        kind, lexeme, line, col = self.peek()
         if kind == "int":
             self.take()
-            coeff = int(lexeme)
+            coeff = self.number(lexeme, line, col)
             if self.peek()[0] == "*":
                 self.take()
                 return coeff * self.atom()
@@ -319,9 +326,9 @@ class _DegreeParser:
             return VirtualRep.sigma(self.n)
         if lexeme == "lam":
             self.expect("(")
-            s = int(self.expect("int")[1])
+            s = self.number(*self.expect("int")[1:])
             self.expect(",")
-            m = int(self.expect("int")[1])
+            m = self.number(*self.expect("int")[1:])
             self.expect(")")
             try:
                 raw = RawRep(self.n, ((("lam", s, m), 1),))
@@ -329,7 +336,7 @@ class _DegreeParser:
                 raise DegreeSyntaxError(str(exc), line, col) from exc
             return raw.reduce()
         if re.fullmatch(r"l\d+", lexeme):
-            k = int(lexeme[1:])
+            k = self.number(lexeme[1:], line, col)
             if k > self.n - 2:
                 raise DegreeSyntaxError(f"l{k} needs n >= {k + 2}", line, col)
             return VirtualRep.lam(self.n, k)

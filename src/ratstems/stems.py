@@ -14,11 +14,11 @@ This module computes that sum by three independent routes:
   the degrees with d = -s - 2*(c_i + ... + c_{n-2}), sector n the
   degrees with d = 0; the sign is the parity of the u_sigma exponent.
 * ``stem_at_oracle`` computes the Bredon homology of an actual (virtual)
-  representation sphere from geometry: each irreducible factor
-  contributes one line of Weyl eigenvalue data per subgroup level (the
-  dimension and orientation character of its fixed sphere), the lines
-  are assembled through ``mackey.classify``, and smash factors combine
-  by the degreewise box product.
+  representation sphere from geometry: each power e*w of one
+  irreducible w contributes one line of Weyl eigenvalue data per
+  subgroup level (the dimension and orientation character of its fixed
+  sphere), the lines are assembled through ``mackey.classify``, and the
+  powers of distinct generators combine by the degreewise box product.
 
 The module also carries the monomial model itself (``SectorElement``,
 ``SectorMonomial``), a structured generators-and-relations presentation
@@ -145,10 +145,13 @@ def stem_at_sector(v: VirtualRep) -> MackeyClass:
 
 
 @lru_cache(maxsize=None)
-def _irreducible_sphere_table(n: int, kind: str, k: int) -> GradedTable:
-    """Homology table of the sphere of one irreducible (sigma or l_k),
-    assembled from fixed-point geometry through the classifier."""
-    w = VirtualRep.sigma(n) if kind == "sigma" else VirtualRep.lam(n, k)
+def _power_sphere_table(n: int, kind: str, k: int, e: int) -> GradedTable:
+    """Homology table of S^(e*w) for one irreducible w (sigma or l_k),
+    assembled from fixed-point geometry through the classifier; a
+    negative power is the dual of the positive one."""
+    if e < 0:
+        return _power_sphere_table(n, kind, k, -e).dual()
+    w = e * (VirtualRep.sigma(n) if kind == "sigma" else VirtualRep.lam(n, k))
     lines: dict[int, list[tuple[int, int]]] = {}
     for h in range(n + 1):
         lines.setdefault(w.fixed_dim(h), []).append((h, w.fixed_sign(h)))
@@ -157,28 +160,22 @@ def _irreducible_sphere_table(n: int, kind: str, k: int) -> GradedTable:
         eigen = [[0, 0, 0] for _ in range(n + 1)]
         for h, sign in hits:
             eigen[h][0 if sign == PLUS else 1] += 1
-        classes[degree] = classify(n, [tuple(e) for e in eigen])
+        classes[degree] = classify(n, [tuple(row) for row in eigen])
     return GradedTable.from_dict(n, classes)
 
 
 @lru_cache(maxsize=None)
 def _smash_table(n: int, s: int, c: tuple[int, ...]) -> GradedTable:
-    """Homology table of the virtual sphere S^(s*sigma + sum c_k*l_k),
-    built one smash factor at a time via the graded box product."""
-    if s > 0:
-        return _smash_table(n, s - 1, c).box(_irreducible_sphere_table(n, "sigma", -1))
-    if s < 0:
-        return _smash_table(n, s + 1, c).box(
-            _irreducible_sphere_table(n, "sigma", -1).dual())
-    for k, ck in enumerate(c):
-        if ck == 0:
-            continue
-        step = list(c)
-        step[k] -= 1 if ck > 0 else -1
-        table = _irreducible_sphere_table(n, "lam", k)
-        if ck < 0:
-            table = table.dual()
-        return _smash_table(n, s, tuple(step)).box(table)
+    """Homology table of the virtual sphere S^(s*sigma + sum c_k*l_k):
+    the last nonzero rotation power is boxed onto the table of the rest,
+    so the recursion is at most n deep and powers of one generator come
+    from geometry, not from repeated boxing."""
+    for k in reversed(range(len(c))):
+        if c[k] != 0:
+            rest = c[:k] + (0,) + c[k + 1:]
+            return _smash_table(n, s, rest).box(_power_sphere_table(n, "lam", k, c[k]))
+    if s != 0:
+        return _power_sphere_table(n, "sigma", -1, s)
     return GradedTable.from_dict(n, {0: MackeyClass.burnside_class(n)})
 
 
@@ -618,11 +615,6 @@ class FixedPointRings:
         return "Laurent lattice on a_sigma and all a_l_k: dimension 1 on {d = 0}"
 
     @property
-    def homotopy_description(self) -> str:
-        return ("Laurent lattice on u_2sigma and all u_l_k: dimension 1 on "
-                "{s even, d = -s - 2*(c_0 + ... + c_{n-2})}")
-
-    @property
     def tate_remark(self) -> str:
         return ("the Tate construction vanishes: inverting the Euler classes "
                 "kills every orientation lattice and conversely")
@@ -639,6 +631,8 @@ def box_degrees(n: int, bound: int) -> Iterator[VirtualRep]:
     the rotation coefficients (for n = 0 only d exists)."""
     if n < 0:
         raise ValueError("group exponent n must be >= 0")
+    if bound < 0:
+        raise ValueError("scan bound must be >= 0")
     return (VirtualRep(n, coords[0], coords[1] if n else 0, coords[2:])
             for coords in product(range(-bound, bound + 1), repeat=n + 1))
 

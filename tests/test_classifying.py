@@ -19,7 +19,7 @@ from ratstems.classifying import (LevelComponents, TorusCheckU,
                                   bu_series, collapse, collapse_expand,
                                   compositions, fixed_point_data, gm_assemble,
                                   sym_invariants_series, torus_check_su2,
-                                  torus_check_u, weyl_eigendata)
+                                  torus_check_u, weyl_eigendata, _partitions)
 from ratstems.mackey import (MINUS, PLUS, MackeyClass, NonSignIsotypicError,
                              classify)
 from ratstems.rolattice import VirtualRep, parse_degree
@@ -186,6 +186,26 @@ def test_unitary_diagram_counts():
     # one eigenvalue block per character: level 0 is plain BU(m)
     assert fixed_point_data("bu", 2, 8, m=3).level(0).total_series() == \
         bu_series(3, 8)
+
+
+def test_unitary_diagram_at_large_m():
+    # every weak composition of m into 2^h slots is one component, and
+    # each nonzero slot adds one degree-2 class
+    data = fixed_point_data("bu", 5, 2, m=20)
+    for h in range(6):
+        slots = 2 ** h
+        series = data.level(h).total_series()
+        assert series.coeff(0) == math.comb(20 + slots - 1, 20)
+        assert series.coeff(2) == slots * math.comb(19 + slots - 1, 19)
+
+
+def test_partitions_are_the_sorted_compositions():
+    for total in range(8):
+        for most in range(6):
+            want = {tuple(sorted((k for k in comp if k), reverse=True))
+                    for comp in compositions(total, most)}
+            got = list(_partitions(total, most, total))
+            assert len(got) == len(set(got)) and set(got) == want
 
 
 def test_unitary_diagram_matches_composition_walk():

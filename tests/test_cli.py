@@ -176,6 +176,12 @@ def test_torus_check_su2_folded(capsys):
      "action=permutation | lhs=536870913 | rhs=536870913 | verdict=HOLDS"),
     (["consistency", "bsigma2", "--n", "30", "--maxdeg", "2"],
      "differences=29 | agree=no"),
+    (["sphere", "--n", "1", "--rep", "3000*sigma"],
+     "degree=3000 | class=M0 | level_dims=1,1"),
+    (["stems", "--n", "2", "--degree=5000*sigma", "--method", "oracle"],
+     "n=2 | degree=5000*sigma | oracle=M2 | agree=yes"),
+    (["bgu", "--n", "5", "--m", "20", "--maxdeg", "2"],
+     "level=5 | components=77535155627160 | series=77535155627160 + 972990188262400*t^2 + O(t^3)"),
 ])
 def test_large_n_is_answered(capsys, argv, last):
     status, lines, _ = run_lines(capsys, argv)
@@ -267,6 +273,9 @@ def test_value_errors_are_usage_errors(capsys):
     status, lines, err = run_lines(capsys, ["burnside", "--n", "-1"])
     assert (status, lines) == (2, [])
     assert err == "error: ambient exponent n must be >= 1\n"
+    status, lines, err = run_lines(capsys, ["stems", "--n", "1", "--scan", "-1"])
+    assert (status, lines) == (2, [])
+    assert err == "error: scan bound must be >= 0\n"
 
 
 def test_argparse_failures(capsys):

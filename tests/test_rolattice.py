@@ -183,6 +183,10 @@ def test_parse_error_positions():
         parse_degree("1 ? 2", 2)
     assert exc.value.col == 3
 
+    with pytest.raises(DegreeSyntaxError) as exc:
+        parse_degree("2²", 2)  # a digit character that int() rejects
+    assert exc.value.col == 2
+
 
 def test_parse_name_errors():
     with pytest.raises(DegreeSyntaxError):
@@ -197,6 +201,26 @@ def test_parse_name_errors():
         parse_degree("lam(1 2)", 3)
     with pytest.raises(DegreeSyntaxError):
         parse_degree("", 2)
+
+
+def test_parse_overlong_literals():
+    # 5000 digits is past the interpreter's int-conversion limit
+    big = "9" * 5000
+    for text, col in [(big, 1), ("1 + " + big + "*sigma", 5), ("lam(" + big + ",1)", 5),
+                      ("lam(1," + big + ")", 7), ("l" + big, 1)]:
+        with pytest.raises(DegreeSyntaxError) as exc:
+            parse_degree(text, 3)
+        assert (exc.value.line, exc.value.col) == (1, col)
+        assert "5000 digits" in str(exc.value)
+
+
+@given(st.text(alphabet="0123456789 \n+-*(),lamsigtx_", max_size=30),
+       st.integers(min_value=0, max_value=4))
+def test_parse_is_total(text, n):
+    try:
+        assert isinstance(parse_degree(text, n), VirtualRep)
+    except DegreeSyntaxError:
+        pass
 
 
 def virtual_reps(n: int):

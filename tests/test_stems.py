@@ -13,6 +13,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from ratstems import stems
 from ratstems.mackey import MINUS, PLUS, MackeyClass
 from ratstems.rolattice import VirtualRep, parse_degree
 from ratstems.stems import (SectorElement, SectorMonomial,
@@ -102,7 +103,7 @@ def test_stem_landmarks(n):
             M(n, *((i, PLUS) for i in range(1, n + 1)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_integer_degrees_vanish(n):
     for d in range(-6, 7):
         want = MackeyClass.burnside_class(n) if d == 0 else MackeyClass.zero(n)
@@ -216,10 +217,21 @@ def test_mixed_degree_kunneth():
     # the table of a sum of spheres is the box of the tables
     for n in (2, 3):
         sig, one = VirtualRep.sigma(n), VirtualRep.one(n, 1)
-        cases = [(sig, sig), (sig, -sig), (VirtualRep.lam(n, 0), sig),
-                 (VirtualRep.lam(n, 0), -2 * sig + one)]
+        l0 = VirtualRep.lam(n, 0)
+        cases = [(sig, sig), (sig, -sig), (l0, sig), (l0, -2 * sig + one),
+                 (sig, 2 * sig), (2 * sig, -3 * sig), (l0, 2 * l0), (-l0, 3 * l0)]
         for v, w in cases:
             assert sphere_homology(v + w) == sphere_homology(v).box(sphere_homology(w))
+
+
+def test_oracle_answers_large_powers():
+    # one geometric table per generator power: a cold degree adds at most
+    # n sphere tables, however large its coefficients
+    for n in (1, 2, 3, 4):
+        v = VirtualRep(n, 3, 7919, tuple(range(-4001, -4001 + 2 * (n - 1), 2)))
+        before = stems._smash_table.cache_info().currsize
+        assert stem_at_oracle(v) == stem_at(v)
+        assert stems._smash_table.cache_info().currsize - before <= n
 
 
 # ---------------------------------------------------------------------------
