@@ -12,6 +12,8 @@ Invariant series are computed by the power-sum recurrence, never by
 floating point.
 """
 
+from math import gcd
+
 from ratstems.classifying import (
     fixed_point_data,
     sym_invariants_series,
@@ -76,7 +78,7 @@ print()
 print("degree-0 eigendata of the inversion-folded torus, per level:")
 for lc in fixed_point_data("torus", n, 0, m=1).levels:
     labels = lc.count()
-    fixed = sum(1 for j in range(labels) if (-j) % labels == j)
+    fixed = gcd(2, labels)  # the solutions of 2j = 0 mod labels
     free_pairs = (labels - fixed) // 2
     series = lc.components[0][0]
     row = [(series, 1, 1, fixed)]

@@ -167,12 +167,6 @@ class BurnsideElement:
             "coeffs": [str(q) for q in self.coeffs],
         }
 
-    @classmethod
-    def from_record(cls, record: dict) -> "BurnsideElement":
-        level = record["level"]
-        return cls(GroupLevel(level["n"], level["i"]),
-                   tuple(Fraction(q) for q in record["coeffs"]))
-
 
 def from_marks(n: int, i: int, marks: Sequence[Fraction | int]) -> BurnsideElement:
     """Invert the marks homomorphism at level i.

@@ -6,9 +6,9 @@ decompose into components indexed by conjugacy classes of homomorphisms
 C_{2^h} -> L, each contributing the rational cohomology of a classical
 classifying space (of the centralizer).  ``fixed_point_data`` records
 these diagrams for the built-in families, and ``gm_assemble`` turns a
-diagram into a table of Mackey classes: per cohomological degree, the
-component dimensions at each level feed ``mackey.classify`` as
-geometric fixed-point eigendata.
+diagram into a table of Mackey classes: per cohomological degree, each
+level's components go to ``weyl_eigendata`` as orbits of the residual
+Weyl action, and the resulting eigendata feed ``mackey.classify``.
 
 On top of the diagrams sit the comparison checks:
 
@@ -98,14 +98,6 @@ class LevelComponents:
 
     def count(self) -> int:
         return sum(c for _, c in self.components)
-
-    def dim(self, degree: int) -> int:
-        total = Fraction(0)
-        for series, c in self.components:
-            total += series.coeff(degree) * c
-        if total.denominator != 1:
-            raise ValueError("component dimensions must be integral")
-        return int(total)
 
     def total_series(self) -> TruncatedSeries:
         out = None
@@ -234,14 +226,13 @@ def gm_assemble(diagram: FixedPointDiagram) -> GradedTable:
     In each degree the component dimension at level h is the geometric
     fixed-point dimension there, i.e. the multiplicity of the simple
     born at level h; the residual action is trivial for all built-in
-    families, so everything sits in the invariant slot.
+    families, so every component is an orbit of size 1 with sign +1.
     """
     classes = {}
     for d in range(diagram.bound + 1):
-        eigen = [(diagram.level(h).dim(d), 0, 0) for h in range(diagram.n + 1)]
-        cls = classify(diagram.n, eigen)
-        if not cls.is_zero():
-            classes[d] = cls
+        eigen = [weyl_eigendata([(series, 1, 1, count) for series, count in level.components], d)
+                 for level in diagram.levels]
+        classes[d] = classify(diagram.n, eigen)
     return GradedTable.from_dict(diagram.n, classes)
 
 

@@ -253,7 +253,7 @@ def cmd_sphere(args: argparse.Namespace) -> tuple[list[dict], int]:
     table = sphere_homology(v)
     return [{"command": "sphere", "n": args.n, "sphere": str(v), "degree": d,
              "class": _class_record(cls),
-             "level_dims": [cls.level_dim(h) for h in range(args.n + 1)]}
+             "level_dims": list(cls.level_dims())}
             for d, cls in table.entries], 0
 
 
@@ -314,7 +314,7 @@ def cmd_bgsigma2(args: argparse.Namespace) -> tuple[list[dict], int]:
                for h, level in enumerate(diagram.levels)]
     records += [{"command": "bgsigma2", "kind": "table", "degree": d,
                  "class": _class_record(cls),
-                 "level_dims": [cls.level_dim(h) for h in range(args.n + 1)]}
+                 "level_dims": list(cls.level_dims())}
                 for d, cls in table.entries]
     return records, 0
 
@@ -527,20 +527,20 @@ def run(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         records, status = args.handler(args)
+        if args.format == "records":
+            lines = [json.dumps(rec, sort_keys=True) for rec in records]
+        else:
+            lines = [row for rec in records for row in text_rows(args, rec)]
+        text = "\n".join(lines)
+        if args.out:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
     except (TupleAmbiguityError, NonSignIsotypicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # degree syntax errors included
+    except (ValueError, OSError) as exc:  # bad degree, int past the str limit, bad --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.format == "records":
-        lines = [json.dumps(rec, sort_keys=True) for rec in records]
-    else:
-        lines = [row for rec in records for row in text_rows(args, rec)]
-    text = "\n".join(lines)
     print(text)
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
     return status
 
 

@@ -157,12 +157,6 @@ class MackeyClass:
                         for i, sign, mult in self.entries],
         }
 
-    @classmethod
-    def from_record(cls, record: dict) -> "MackeyClass":
-        entries = tuple((e["i"], MINUS if e["sign"] == "-" else PLUS, e["mult"])
-                        for e in record["entries"])
-        return cls(record["n"], entries)
-
 
 def classify(n: int, eigendata: Sequence[tuple[int, int, int]]) -> MackeyClass:
     """Assemble a MackeyClass from per-level Weyl eigenvalue dimensions.
@@ -237,14 +231,6 @@ class GradedTable:
     def dual(self) -> "GradedTable":
         """Degrees negate; classes are self-dual."""
         return GradedTable(self.n, tuple((-deg, c) for deg, c in self.entries))
-
-    def level_dims(self, h: int) -> dict[int, int]:
-        out = {}
-        for d, c in self.entries:
-            dim = c.level_dim(h)
-            if dim:
-                out[d] = dim
-        return out
 
     def poincare(self, h: int, bound: int):
         """Poincare series of the level-h values; needs degrees >= 0."""

@@ -95,14 +95,6 @@ class TruncatedSeries:
         q = Fraction(q)
         return TruncatedSeries(self.bound, (q * a for a in self.coeffs))
 
-    def __pow__(self, k: int) -> "TruncatedSeries":
-        if k < 0:
-            raise ValueError("negative powers are not supported")
-        out = TruncatedSeries.one(self.bound)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def truncate(self, bound: int) -> "TruncatedSeries":
         """Shrink the window.  The bound may only decrease; growing it
         would invent zero coefficients the series never promised."""

@@ -15,10 +15,10 @@ This module computes that sum by three independent routes:
   degrees with d = 0; the sign is the parity of the u_sigma exponent.
 * ``stem_at_oracle`` computes the Bredon homology of an actual (virtual)
   representation sphere from geometry: each power e*w of one
-  irreducible w contributes one line of Weyl eigenvalue data per
-  subgroup level (the dimension and orientation character of its fixed
-  sphere), the lines are assembled through ``mackey.classify``, and the
-  powers of distinct generators combine by the degreewise box product.
+  irreducible w contributes one simple M_h per subgroup level h, placed
+  in the dimension of its fixed sphere and signed by the Weyl action on
+  that sphere's orientation, and the powers of distinct generators
+  combine by the degreewise box product.
 
 The module also carries the monomial model itself (``SectorElement``,
 ``SectorMonomial``), a structured generators-and-relations presentation
@@ -34,7 +34,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
-from .mackey import MINUS, PLUS, GradedTable, MackeyClass, classify
+from .mackey import MINUS, PLUS, GradedTable, MackeyClass
 from .rolattice import VirtualRep
 
 
@@ -147,21 +147,15 @@ def stem_at_sector(v: VirtualRep) -> MackeyClass:
 @lru_cache(maxsize=None)
 def _power_sphere_table(n: int, kind: str, k: int, e: int) -> GradedTable:
     """Homology table of S^(e*w) for one irreducible w (sigma or l_k),
-    assembled from fixed-point geometry through the classifier; a
-    negative power is the dual of the positive one."""
+    read off fixed-point geometry: level h gives one M_h in the degree
+    of its fixed sphere, signed by the Weyl action there, and the table
+    merges the levels that share a degree.  A negative power is the
+    dual of the positive one."""
     if e < 0:
         return _power_sphere_table(n, kind, k, -e).dual()
     w = e * (VirtualRep.sigma(n) if kind == "sigma" else VirtualRep.lam(n, k))
-    lines: dict[int, list[tuple[int, int]]] = {}
-    for h in range(n + 1):
-        lines.setdefault(w.fixed_dim(h), []).append((h, w.fixed_sign(h)))
-    classes = {}
-    for degree, hits in lines.items():
-        eigen = [[0, 0, 0] for _ in range(n + 1)]
-        for h, sign in hits:
-            eigen[h][0 if sign == PLUS else 1] += 1
-        classes[degree] = classify(n, [tuple(row) for row in eigen])
-    return GradedTable.from_dict(n, classes)
+    return GradedTable(n, tuple((w.fixed_dim(h), MackeyClass.simple(n, h, w.fixed_sign(h)))
+                                for h in range(n + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -593,7 +587,9 @@ class FixedPointRings:
     Both rings are Laurent: the geometric one on the Euler classes
     (dimension 1 exactly where d = 0, the top sector's lattice), the
     homotopy one on the invertible even orientation classes u_2sigma
-    and u_l_k (the even-u sublattice of sector 0).
+    and u_l_k (the even-u sublattice of sector 0).  Inverting the Euler
+    classes kills every orientation lattice and conversely, so the Tate
+    construction vanishes.
     """
 
     n: int
@@ -609,15 +605,6 @@ class FixedPointRings:
     def _check(self, v: VirtualRep) -> None:
         if v.n != self.n:
             raise ValueError("degree has the wrong ambient exponent")
-
-    @property
-    def geometric_description(self) -> str:
-        return "Laurent lattice on a_sigma and all a_l_k: dimension 1 on {d = 0}"
-
-    @property
-    def tate_remark(self) -> str:
-        return ("the Tate construction vanishes: inverting the Euler classes "
-                "kills every orientation lattice and conversely")
 
 
 def fixed_point_rings(n: int) -> FixedPointRings:

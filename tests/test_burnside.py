@@ -216,7 +216,7 @@ def test_frobenius_and_projection(n):
 
 def test_record_round_trip():
     a = BurnsideElement(GroupLevel(3, 2), (Fraction(1, 2), Fraction(-3), Fraction(0)))
-    assert BurnsideElement.from_record(a.to_record()) == a
+    assert a.to_record() == {"level": {"n": 3, "i": 2}, "coeffs": ["1/2", "-3", "0"]}
 
 
 def test_str():

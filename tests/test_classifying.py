@@ -14,10 +14,11 @@ from itertools import combinations_with_replacement
 import pytest
 
 from ratstems.burnside import BurnsideElement
-from ratstems.classifying import (LevelComponents, TorusCheckU,
-                                  bgs1_presentation, bsigma2_consistency,
-                                  bu_series, collapse, collapse_expand,
-                                  compositions, fixed_point_data, gm_assemble,
+from ratstems.classifying import (FixedPointDiagram, LevelComponents,
+                                  TorusCheckU, bgs1_presentation,
+                                  bsigma2_consistency, bu_series, collapse,
+                                  collapse_expand, compositions,
+                                  fixed_point_data, gm_assemble,
                                   sym_invariants_series, torus_check_su2,
                                   torus_check_u, weyl_eigendata, _partitions)
 from ratstems.mackey import (MINUS, PLUS, MackeyClass, NonSignIsotypicError,
@@ -166,15 +167,16 @@ def test_circle_diagram_counts():
         level = data.level(h)
         assert level.count() == 2 ** h
         assert level.components == ((circle, 2 ** h),)
-        assert level.dim(4) == 2 ** h and level.dim(5) == 0
-        assert level.total_series() == circle.scale(2 ** h)
+        series = level.total_series()
+        assert series.coeff(4) == 2 ** h and series.coeff(5) == 0
+        assert series == circle.scale(2 ** h)
 
 
 def test_two_point_diagram_counts():
     data = fixed_point_data("bsigma2", 2, BOUND)
     assert [data.level(h).count() for h in range(3)] == [1, 2, 2]
-    assert data.level(2).dim(0) == 2
-    assert data.level(2).dim(2) == 0
+    assert data.level(2).total_series().coeff(0) == 2
+    assert data.level(2).total_series().coeff(2) == 0
 
 
 def test_unitary_diagram_counts():
@@ -253,8 +255,8 @@ def test_diagram_errors():
     with pytest.raises(ValueError):
         LevelComponents(0, ()).total_series()
     half = TruncatedSeries.one(4).scale(Fraction(1, 2))
-    with pytest.raises(ValueError):
-        LevelComponents(0, ((half, 1),)).dim(0)
+    with pytest.raises(ValueError, match="integral"):
+        gm_assemble(FixedPointDiagram("half", 0, 4, (LevelComponents(0, ((half, 1),)),)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +287,7 @@ def test_assemble_level_dims_accumulate():
     for d in range(9):
         cls = table.get(d)
         for h in range(3):
-            want = sum(diagram.level(i).dim(d) for i in range(h + 1))
+            want = sum(diagram.level(i).total_series().coeff(d) for i in range(h + 1))
             assert cls.level_dim(h) == want
 
 

@@ -260,7 +260,7 @@ def test_unknown_name_error_location(capsys):
     assert err == "error: line 1, column 9: unknown representation name 'bogus'\n"
 
 
-def test_value_errors_are_usage_errors(capsys):
+def test_value_errors_are_usage_errors(capsys, tmp_path):
     status, _, err = run_lines(capsys, ["point-presentation", "--n", "0"])
     assert status == 2
     assert "error: the presentation needs n >= 1" in err
@@ -276,6 +276,18 @@ def test_value_errors_are_usage_errors(capsys):
     status, lines, err = run_lines(capsys, ["stems", "--n", "1", "--scan", "-1"])
     assert (status, lines) == (2, [])
     assert err == "error: scan bound must be >= 0\n"
+    # every literal is legal, but the sphere's degrees pass the 4300-digit
+    # str limit when the rows are formatted
+    status, lines, err = run_lines(capsys, ["sphere", "--n", "1",
+                                            "--rep=" + "9" * 4300 + "*sigma + 5"])
+    assert (status, lines) == (2, [])
+    assert err.startswith("error: Exceeds the limit (4300 digits)") and err.count("\n") == 1
+    missing = tmp_path / "missing" / "x"
+    status, lines, err = run_lines(capsys, ["sphere", "--n", "1", "--rep", "sigma",
+                                            "--out", str(missing)])
+    assert (status, lines) == (2, [])
+    assert err.startswith("error: [Errno 2]") and err.count("\n") == 1
+    assert not missing.parent.exists()
 
 
 def test_argparse_failures(capsys):
