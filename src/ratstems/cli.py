@@ -519,10 +519,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_degree_values(argv: Sequence[str]) -> list[str]:
+    """argv with a ``--degree`` or ``--rep`` value that starts with a
+    single "-", such as "-1*sigma", joined to its option by "=":
+    argparse would read that value as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1] in ("--degree", "--rep")
+                and arg.startswith("-") and not arg.startswith("--")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_degree_values(sys.argv[1:] if argv is None else argv))
+        # argparse before Python 3.12 parses "--opt=--" to an empty list
+        if [] in vars(args).values():
+            parser.error("'--' is not a value")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -20,7 +20,8 @@ the third slot is always zero; a nonzero value is a hard error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, Sequence
 
 PLUS = 1
 MINUS = -1
@@ -48,7 +49,10 @@ class MackeyClass:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("group exponent n must be >= 0")
-        merged: dict[tuple[int, int], int] = {}
+        # entries strictly increasing in (i, sign) with mult > 0 are
+        # already the normal form; the stem methods build them that way
+        in_order = True
+        prev = None
         for i, sign, mult in self.entries:
             if not 0 <= i <= self.n:
                 raise ValueError(f"level {i} outside 0..{self.n}")
@@ -58,6 +62,13 @@ class MackeyClass:
                 raise ValueError("the top level has trivial Weyl group: no sign summand")
             if mult < 0:
                 raise ValueError("multiplicities must be >= 0")
+            if in_order and (mult == 0 or (prev is not None and prev >= (i, sign))):
+                in_order = False
+            prev = (i, sign)
+        if in_order:
+            return
+        merged: dict[tuple[int, int], int] = {}
+        for i, sign, mult in self.entries:
             if mult:
                 merged[(i, sign)] = merged.get((i, sign), 0) + mult
         normal = tuple(sorted((i, sign, mult) for (i, sign), mult in merged.items()
@@ -204,11 +215,13 @@ class GradedTable:
     def from_dict(cls, n: int, classes: Mapping[int, MackeyClass]) -> "GradedTable":
         return cls(n, tuple(classes.items()))
 
+    @cached_property
+    def _by_degree(self) -> dict[int, MackeyClass]:
+        return dict(self.entries)
+
     def get(self, degree: int) -> MackeyClass:
-        for d, c in self.entries:
-            if d == degree:
-                return c
-        return MackeyClass.zero(self.n)
+        cls = self._by_degree.get(degree)
+        return cls if cls is not None else MackeyClass.zero(self.n)
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(d for d, _ in self.entries)

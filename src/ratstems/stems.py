@@ -83,8 +83,12 @@ def decode_degree(v: VirtualRep) -> tuple[StemTuple, ...]:
     Enumerate cut positions: positions below the cut take the
     j'-assignment, positions at or above it the j-assignment, with the
     per-position totals forced by the coordinates of v.  A candidate
-    survives when its trivial part matches d; cuts separated only by
-    zero totals repeat the same tuple and are merged.
+    survives when its trivial part matches d.  That trivial part is a
+    running sum over the cuts: moving the cut past position p drops
+    2*totals[p] from it, or totals[p] at the sigma slot p = n-1.  So the
+    walk costs O(n), and the j, j' tuples are built only for surviving
+    cuts.  A cut past a zero total repeats the tuple of the cut before
+    it and is merged into it.
 
     A degree can decode to more than one tuple (the occupied sectors
     then form several runs separated by gaps, e.g. l0 - 2*sigma at
@@ -94,20 +98,15 @@ def decode_degree(v: VirtualRep) -> tuple[StemTuple, ...]:
     """
     n = v.n
     totals = [-ck for ck in v.c] + ([-v.s] if n >= 1 else [])
-    found: dict[tuple[tuple[int, ...], tuple[int, ...]], None] = {}
+    d = 2 * sum(totals) - (totals[-1] if n >= 1 else 0)
+    found: list[StemTuple] = []
     for cut in range(n + 1):
-        j = [0] * n
-        jp = [0] * n
-        for p in range(n):
-            if p < cut:
-                jp[p] = totals[p]
-            else:
-                j[p] = totals[p]
-        d = 2 * sum(j[k] for k in range(n - 1)) + (j[n - 1] if n >= 1 else 0)
-        if d == v.d:
-            found.setdefault((tuple(j), tuple(jp)))
-    tuples = sorted((StemTuple(n, j, jp) for j, jp in found),
-                    key=lambda t: (t.k_prime(), t.k()))
+        if d == v.d and (cut == 0 or totals[cut - 1] != 0):
+            found.append(StemTuple(n, (0,) * cut + tuple(totals[cut:]),
+                                   tuple(totals[:cut]) + (0,) * (n - cut)))
+        if cut < n:
+            d -= totals[cut] if cut == n - 1 else 2 * totals[cut]
+    tuples = sorted(found, key=lambda t: (t.k_prime(), t.k()))
     for prev, cur in zip(tuples, tuples[1:]):
         if prev.k() > cur.k_prime():
             raise TupleAmbiguityError(
@@ -133,12 +132,15 @@ def stem_at_sector(v: VirtualRep) -> MackeyClass:
     on a_sigma and all a_l_k, with degrees d = 0.
     """
     n = v.n
+    # u_sigma carries exponent -s; odd exponent means the sign line
+    sign = MINUS if v.s % 2 != 0 else PLUS
     entries: list[tuple[int, int, int]] = []
+    tail = sum(v.c)  # c_i + ... + c_{n-2}, updated as i grows
     for i in range(n):
-        if v.d == -v.s - 2 * sum(v.c[i:]):
-            # u_sigma carries exponent -s; odd exponent means the sign line
-            sign = MINUS if v.s % 2 != 0 else PLUS
+        if v.d == -v.s - 2 * tail:
             entries.append((i, sign, 1))
+        if i < n - 1:
+            tail -= v.c[i]
     if v.d == 0:
         entries.append((n, PLUS, 1))
     return MackeyClass(n, tuple(entries))

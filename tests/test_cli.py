@@ -27,6 +27,15 @@ def test_stems_single_degree(capsys):
     assert status == 0
     assert lines == ["n=2 | degree=1 - 1*sigma | closed=M0- + M1- | "
                      "oracle=M0- + M1- | sector=M0- + M1- | agree=yes"]
+    # a degree that starts with "-" may follow its option as its own token
+    for argv in (["stems", "--n", "2", "--degree", "-1*sigma"],
+                 ["stems", "--n", "2", "--degree=-1*sigma"]):
+        status, lines, _ = run_lines(capsys, argv)
+        assert status == 0
+        assert lines == ["n=2 | degree=-1*sigma | closed=M2 | oracle=M2 | sector=M2 | agree=yes"]
+    status, lines, _ = run_lines(capsys, ["stems", "--n", "2", "--degree", "-1", "--method",
+                                          "closed", "--format", "records"])
+    assert status == 0 and json.loads(lines[0])["degree"] == "-1"
 
 
 def test_stems_zero_class(capsys):
@@ -86,6 +95,12 @@ def test_sphere_table(capsys):
     assert status == 0
     assert lines == ["degree=0 | class=M2 | level_dims=0,0,1",
                      "degree=1 | class=M0- + M1- | level_dims=1,2,0"]
+    for argv in (["sphere", "--n", "2", "--rep", "-1*sigma"],
+                 ["sphere", "--rep", "-1*sigma", "--n", "2"]):
+        status, lines, _ = run_lines(capsys, argv)
+        assert status == 0
+        assert lines == ["degree=-1 | class=M0- + M1- | level_dims=1,2,0",
+                         "degree=0 | class=M2 | level_dims=0,0,1"]
 
 
 def test_point_presentation_output(capsys):
@@ -182,6 +197,8 @@ def test_torus_check_su2_folded(capsys):
      "n=2 | degree=5000*sigma | oracle=M2 | agree=yes"),
     (["bgu", "--n", "5", "--m", "20", "--maxdeg", "2"],
      "level=5 | components=77535155627160 | series=77535155627160 + 972990188262400*t^2 + O(t^3)"),
+    (["stems", "--n", "10000", "--degree", "1"],
+     "n=10000 | degree=1 | closed=0 | oracle=0 | sector=0 | agree=yes"),
 ])
 def test_large_n_is_answered(capsys, argv, last):
     status, lines, _ = run_lines(capsys, argv)
@@ -299,6 +316,20 @@ def test_argparse_failures(capsys):
     capsys.readouterr()
     assert cli.run(["stems", "--n", "1", "--degree", "0", "--scan", "1"]) == 2
     capsys.readouterr()
+    # an option after --degree or --rep is not taken as its value
+    for argv in (["stems", "--n", "1", "--degree", "--scan", "1"],
+                 ["stems", "--n", "1", "--degree"],
+                 ["sphere", "--n", "1", "--rep"],
+                 ["sphere", "--rep", "--n", "1"]):
+        status, lines, err = run_lines(capsys, argv)
+        assert (status, lines) == (2, []), argv
+        assert "expected one argument" in err
+    for argv in (["stems", "--n=1", "--degree=--"], ["sphere", "--n=1", "--rep=--"],
+                 ["stems", "--n=--", "--scan=1"], ["bgu", "--n=1", "--m=--"],
+                 ["sphere", "--n=1", "--rep=sigma", "--out=--"]):
+        status, lines, err = run_lines(capsys, argv)
+        assert (status, lines) == (2, []), argv
+        assert err.endswith("error: '--' is not a value\n")
 
 
 # ---------------------------------------------------------------------------

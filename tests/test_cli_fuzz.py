@@ -27,6 +27,11 @@ def flag(name, values):
     return values.map(lambda v: [f"{name}={v}"])
 
 
+def degree_flag(name):
+    # a degree may also follow its option as a token of its own
+    return st.one_of(flag(name, DEGREES), DEGREES.map(lambda v: [name, v]))
+
+
 def optional(name, values):
     return st.one_of(st.just([]), flag(name, values))
 
@@ -41,10 +46,10 @@ FORMAT = optional("--format", st.sampled_from(["text", "records"]))
 
 ARGVS = st.one_of(
     command("stems", N,
-            st.one_of(flag("--degree", DEGREES),
+            st.one_of(degree_flag("--degree"),
                       flag("--scan", st.integers(min_value=-3, max_value=1))),
             optional("--method", st.sampled_from(["closed", "oracle", "sector"])), FORMAT),
-    command("sphere", N, flag("--rep", DEGREES), FORMAT),
+    command("sphere", N, degree_flag("--rep"), FORMAT),
     command("point-presentation", N, FORMAT),
     command("burnside", N, optional("--level", SMALL), FORMAT),
     command("bgs1", N, MAXDEG, FORMAT),

@@ -48,6 +48,19 @@ def test_normalization_merges_and_drops():
     assert cls.entries == ((1, PLUS, 3),)
     assert cls.mult(1, PLUS) == 3
     assert cls.mult(0, MINUS) == 0
+    # entries already in normal form are kept as given; unsorted, duplicate
+    # and zero-multiplicity ones give the same class, hashing alike
+    normal = ((0, MINUS, 1), (0, PLUS, 2), (2, PLUS, 1))
+    assert MackeyClass(2, normal).entries == normal
+    for messy in [((2, PLUS, 1), (0, PLUS, 2), (0, MINUS, 1)),
+                  ((0, MINUS, 1), (0, PLUS, 1), (0, PLUS, 1), (2, PLUS, 1)),
+                  ((0, MINUS, 1), (0, PLUS, 1), (2, PLUS, 1), (0, PLUS, 1)),
+                  ((0, MINUS, 1), (0, PLUS, 2), (1, MINUS, 0), (2, PLUS, 1)),
+                  ((0, MINUS, 1), (0, PLUS, 2), (2, PLUS, 1), (2, PLUS, 0))]:
+        cls = MackeyClass(2, messy)
+        assert cls == MackeyClass(2, normal)
+        assert cls.entries == normal
+        assert hash(cls) == hash(MackeyClass(2, normal))
 
 
 def test_validation():
@@ -59,6 +72,17 @@ def test_validation():
         MackeyClass(2, ((2, MINUS, 1),))  # no sign summand at the top
     with pytest.raises(ValueError):
         MackeyClass(2, ((1, PLUS, -1),))
+    # single or sorted entries, which skip the merge, are still checked
+    with pytest.raises(ValueError):
+        MackeyClass(2, ((-1, PLUS, 1),))
+    with pytest.raises(ValueError):
+        MackeyClass(2, ((1, 0, 1),))
+    with pytest.raises(ValueError):
+        MackeyClass(2, ((0, PLUS, 1), (1, PLUS, 1), (3, PLUS, 1)))
+    with pytest.raises(ValueError):
+        MackeyClass(2, ((0, MINUS, 1), (1, PLUS, 1), (2, MINUS, 1)))
+    with pytest.raises(ValueError):
+        MackeyClass(2, ((0, PLUS, 1), (1, MINUS, 1), (1, PLUS, -2)))
     with pytest.raises(ValueError):
         MackeyClass(2) + MackeyClass(3)
     with pytest.raises(ValueError):
@@ -140,6 +164,8 @@ def test_table_operations():
     t = GradedTable.from_dict(n, {0: burn, 3: MackeyClass.simple(n, 1)})
     assert t.degrees() == (0, 3)
     assert t.get(1).is_zero()
+    assert t.get(3) == MackeyClass.simple(n, 1)
+    assert t.get(-3) == MackeyClass.zero(n) == GradedTable(n).get(0)
     assert t.shift(2).degrees() == (2, 5)
     assert t.dual().degrees() == (-3, 0)
     assert t.dual().get(-3) == MackeyClass.simple(n, 1)

@@ -7,6 +7,7 @@ exhaustively and the structural properties (symmetry, multiplicativity,
 restriction recursion) are checked over random degrees.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -16,7 +17,7 @@ from hypothesis import given, strategies as st
 from ratstems import stems
 from ratstems.mackey import MINUS, PLUS, MackeyClass
 from ratstems.rolattice import VirtualRep, parse_degree
-from ratstems.stems import (SectorElement, SectorMonomial,
+from ratstems.stems import (SectorElement, SectorMonomial, StemTuple,
                             TupleAmbiguityError, decode_degree,
                             fixed_point_rings, lattice_mismatches,
                             point_presentation, sector_alphabet,
@@ -166,6 +167,60 @@ def test_decode_runs_are_disjoint_and_multiplicity_free(n, bound):
 
 def test_ambiguity_error_is_detectable():
     assert issubclass(TupleAmbiguityError, RuntimeError)
+
+
+def ref_decode_degree(v):
+    """The reference cut walk: rebuild j, j' and the d-sum at every cut,
+    O(n^2), and merge equal tuples in a dict."""
+    n = v.n
+    totals = [-ck for ck in v.c] + ([-v.s] if n >= 1 else [])
+    found = {}
+    for cut in range(n + 1):
+        j = [0] * n
+        jp = [0] * n
+        for p in range(n):
+            if p < cut:
+                jp[p] = totals[p]
+            else:
+                j[p] = totals[p]
+        d = 2 * sum(j[k] for k in range(n - 1)) + (j[n - 1] if n >= 1 else 0)
+        if d == v.d:
+            found.setdefault((tuple(j), tuple(jp)))
+    tuples = sorted((StemTuple(n, j, jp) for j, jp in found),
+                    key=lambda t: (t.k_prime(), t.k()))
+    for prev, cur in zip(tuples, tuples[1:]):
+        if prev.k() > cur.k_prime():
+            raise TupleAmbiguityError(f"degree {v}: overlapping sector runs")
+    return tuple(tuples)
+
+
+@pytest.mark.parametrize("n,bound", [(0, 3), (1, 4), (2, 3), (3, 2), (4, 2), (5, 1)])
+def test_decode_matches_reference_over_box(n, bound):
+    for v in stems.box_degrees(n, bound):
+        assert decode_degree(v) == ref_decode_degree(v), v
+
+
+def test_decode_matches_reference_on_seeded_degrees():
+    rng = random.Random(20211)
+    merged = several = 0
+    for _ in range(600):
+        n = rng.randint(1, 40)
+        coords = [rng.choice((0, 0, 0, 1, -1, 2, -2, 5)) for _ in range(n)]
+        s, c = coords[-1], tuple(coords[:-1])
+        # d of a random cut's j-assignment, so that most degrees decode
+        cut_ds = [-2 * sum(c[cut:]) - (s if cut < n else 0) for cut in range(n + 1)]
+        v = VirtualRep(n, rng.choice(cut_ds) + rng.choice((0, 0, 0, 1)), s, c)
+        want = ref_decode_degree(v)
+        assert decode_degree(v) == want, v
+        several += len(want) >= 2
+        merged += cut_ds.count(v.d) > len(want)
+    # the draw covers merged zero-total cuts and multi-tuple degrees
+    assert merged > 100 and several > 50
+    for text, n in [("l0 - 2*sigma", 2), ("l1 - 2*sigma", 3), ("l0 - l1", 3),
+                    ("2*l0 - l2 - 2*sigma", 4), ("0", 40)]:
+        v = parse_degree(text, n)
+        assert decode_degree(v) == ref_decode_degree(v), text
+    assert len(decode_degree(parse_degree("l0 - 2*sigma", 2))) == 2
 
 
 # ---------------------------------------------------------------------------
