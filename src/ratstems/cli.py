@@ -15,11 +15,15 @@ Exit codes: 0 on success (including comparisons whose documented
 verdict is FAILS), 1 when mathematics breaks (method disagreement,
 ambiguous tuple decoding, a non-sign-isotypic Weyl module, selftest
 failure), 2 on usage or syntax errors.
+
+``run(argv)`` may be called repeatedly in one process: the parser is built
+on the first call, and each call looks its ``cmd_*`` handler up by name.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -37,6 +41,11 @@ from .stems import (STEM_METHODS, SectorElement, TupleAmbiguityError, box_degree
                     lattice_mismatches, point_presentation, sphere_homology)
 
 
+def _agree(results: Mapping[str, MackeyClass]) -> bool:
+    first, *rest = results.values()
+    return all(cls == first for cls in rest)
+
+
 def compare_methods(n: int, bound: int,
                     methods: Mapping[str, Callable[[VirtualRep], MackeyClass]] | None = None,
                     ) -> tuple[int, list[tuple[VirtualRep, dict[str, MackeyClass]]]]:
@@ -52,7 +61,7 @@ def compare_methods(n: int, bound: int,
     for v in box_degrees(n, bound):
         results = {name: fn(v) for name, fn in table.items()}
         checked += 1
-        if len(set(results.values())) > 1:
+        if not _agree(results):
             disagreements.append((v, results))
     return checked, disagreements
 
@@ -197,8 +206,8 @@ def _check_negative_control() -> str | None:
     return None
 
 
-def run_selftest(deep: bool = False) -> tuple[list[dict], int]:
-    n_max, box = (3, 3) if deep else (2, 2)
+def cmd_selftest(args: argparse.Namespace) -> tuple[list[dict], int]:
+    n_max, box = (3, 3) if args.deep else (2, 2)
     checks: list[tuple[str, Callable[[], str | None]]] = [
         ("three_way_agreement", lambda: _check_three_way(n_max, box)),
         ("burnside_axioms", lambda: _check_burnside(n_max + 1)),
@@ -206,7 +215,7 @@ def run_selftest(deep: bool = False) -> tuple[list[dict], int]:
         ("fixed_point_lattices", lambda: _check_lattices(n_max, box)),
         ("circle_presentation", lambda: _check_circle(n_max)),
         ("torus_comparisons", lambda: _check_torus(n_max)),
-        ("collapse_roundtrip", lambda: _check_collapse(8 if deep else 5)),
+        ("collapse_roundtrip", lambda: _check_collapse(8 if args.deep else 5)),
         ("negative_control", _check_negative_control),
     ]
     records = []
@@ -235,7 +244,7 @@ def cmd_stems(args: argparse.Namespace) -> tuple[list[dict], int]:
     def record(v: VirtualRep, results: Mapping[str, MackeyClass]) -> dict:
         return {"command": "stems", "n": args.n, "degree": str(v),
                 "results": {name: _class_record(results[name]) for name in names},
-                "agree": len(set(results.values())) == 1}
+                "agree": _agree(results)}
 
     if args.degree is not None:
         v = parse_degree(args.degree, args.n)
@@ -351,10 +360,6 @@ def cmd_consistency(args: argparse.Namespace) -> tuple[list[dict], int]:
     return records, 0
 
 
-def cmd_selftest(args: argparse.Namespace) -> tuple[list[dict], int]:
-    return run_selftest(deep=args.deep)
-
-
 # ---------------------------------------------------------------------------
 # Text rows.
 
@@ -430,6 +435,7 @@ def text_rows(args: argparse.Namespace, rec: dict) -> list[str]:
 # ---------------------------------------------------------------------------
 # Parser plumbing.
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ratstems",
@@ -452,44 +458,37 @@ def build_parser() -> argparse.ArgumentParser:
                       help="scan all degrees with coordinates in [-BOUND, BOUND]")
     p.add_argument("--method", choices=sorted(STEM_METHODS),
                    help="use a single method (default: run and compare all)")
-    p.set_defaults(handler=cmd_stems)
 
     p = sub.add_parser("sphere", parents=[common],
                        help="homology table of a virtual representation sphere")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--rep", required=True,
                    help='virtual representation, e.g. "2*sigma - l0"')
-    p.set_defaults(handler=cmd_sphere)
 
     p = sub.add_parser("point-presentation", parents=[common],
                        help="generators and relations of the point ring")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=cmd_point_presentation)
 
     p = sub.add_parser("burnside", parents=[common],
                        help="basis, marks and idempotents of one Burnside level")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--level", type=int, help="subgroup level (default: top)")
-    p.set_defaults(handler=cmd_burnside)
 
     p = sub.add_parser("bgs1", parents=[common],
                        help="circle classifying space: presentation and table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--maxdeg", type=int, default=20, help="top cohomological degree")
-    p.set_defaults(handler=cmd_bgs1)
 
     p = sub.add_parser("bgsigma2", parents=[common],
                        help="Sigma_2 classifying space: assembled table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--maxdeg", type=int, default=6)
-    p.set_defaults(handler=cmd_bgsigma2)
 
     p = sub.add_parser("bgu", parents=[common],
                        help="U(m) classifying space: fixed-point diagram")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=1, help="unitary group size")
     p.add_argument("--maxdeg", type=int, default=20)
-    p.set_defaults(handler=cmd_bgu)
 
     p = sub.add_parser("torus-check", parents=[common],
                        help="maximal-torus comparison for U(m) or SU(2)")
@@ -500,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--su2-torus-action", choices=["trivial", "permutation"],
                    default="trivial", dest="su2_torus_action",
                    help="treatment of the Weyl involution on torus components")
-    p.set_defaults(handler=cmd_torus_check)
 
     p = sub.add_parser("consistency", parents=[common],
                        help="compare two candidate answers for one space")
@@ -509,13 +507,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which comparison to run")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--maxdeg", type=int, default=6)
-    p.set_defaults(handler=cmd_consistency)
 
     p = sub.add_parser("selftest", parents=[common],
                        help="run the built-in consistency battery")
     p.add_argument("--deep", action="store_true",
                    help="larger groups and boxes (slower)")
-    p.set_defaults(handler=cmd_selftest)
     return parser
 
 
@@ -543,7 +539,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        records, status = args.handler(args)
+        # looked up on every run, so a rebound cmd_* global takes effect
+        records, status = globals()["cmd_" + args.command.replace("-", "_")](args)
         if args.format == "records":
             lines = [json.dumps(rec, sort_keys=True) for rec in records]
         else:

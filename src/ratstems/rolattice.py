@@ -39,7 +39,10 @@ class VirtualRep:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("group exponent n must be >= 0")
-        object.__setattr__(self, "c", tuple(int(x) for x in self.c))
+        if type(self.c) is not tuple:
+            object.__setattr__(self, "c", tuple(self.c))
+        if {type(self.d), type(self.s), *map(type, self.c)} != {int}:
+            raise ValueError("coordinates d, s and c must be integers")
         if len(self.c) != max(self.n - 1, 0):
             raise ValueError(f"expected {max(self.n - 1, 0)} rotation slots for n={self.n}")
         if self.n == 0 and self.s != 0:

@@ -2,6 +2,7 @@
 codes, both output formats, the file sink, and the failure paths
 (including deliberately corrupted method tables)."""
 
+import argparse
 import json
 
 import pytest
@@ -330,6 +331,66 @@ def test_argparse_failures(capsys):
         status, lines, err = run_lines(capsys, argv)
         assert (status, lines) == (2, []), argv
         assert err.endswith("error: '--' is not a value\n")
+
+
+# ---------------------------------------------------------------------------
+# One parser per process.
+
+def outcome(capsys, argv):
+    status = cli.run(argv)
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+@pytest.mark.parametrize("sequence,statuses", [
+    # a usage error, then a valid command
+    ((["stems", "--n", "x", "--degree", "0"], ["stems", "--n", "2", "--degree", "1 - sigma"]),
+     [2, 0]),
+    # help exits through SystemExit, then a command
+    ((["--help"], ["sphere", "--n", "1", "--rep", "sigma"]), [0, 0]),
+    ((["stems", "--n", "1", "--scan", "1"], ["sphere", "--n", "2", "--rep", "sigma"],
+      ["stems", "--n", "1", "--scan", "1"]), [0, 0, 0]),
+    # a split "-1*sigma" value after a run that used "--degree="
+    ((["stems", "--n", "2", "--degree=1 - sigma"], ["stems", "--n", "2", "--degree", "-1*sigma"]),
+     [0, 0]),
+])
+def test_reused_parser_answers_as_a_fresh_one(capsys, sequence, statuses):
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(capsys, argv))
+    assert [status for status, _, _ in fresh] == statuses
+    cli.build_parser.cache_clear()
+    assert [outcome(capsys, argv) for argv in sequence] == fresh
+
+
+def test_handler_is_looked_up_on_every_run(capsys, monkeypatch):
+    argv = ["stems", "--n", "1", "--degree", "0", "--format", "records"]
+    status, out, _ = outcome(capsys, argv)
+    assert status == 0 and '"agree": true' in out
+    # rebinding after the parser is cached still reaches the next run
+    monkeypatch.setattr(cli, "cmd_stems", lambda args: ([{"n": args.n}], 1))
+    assert outcome(capsys, argv) == (1, '{"n": 1}\n', "")
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    cli.run(["burnside", "--n", "1"])
+    per_build = len(built)
+    for _ in range(10):
+        for argv in (["burnside", "--n", "1"], ["bogus"], ["stems", "--n", "1"]):
+            cli.run(argv)
+    capsys.readouterr()
+    assert per_build > 0 and len(built) == per_build
+    assert cli.build_parser.cache_info().misses == 1
 
 
 # ---------------------------------------------------------------------------

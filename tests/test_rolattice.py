@@ -8,6 +8,8 @@ pins down fixed_dim on effective representations before any library
 code runs; virtual values must then be the linear extension.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -123,6 +125,24 @@ def test_virtualrep_validation():
         VirtualRep(2, 0, 0, (0,)).restrict(-1)
     with pytest.raises(ValueError):
         VirtualRep(2, 0, 0, (0,)) + VirtualRep(3, 0, 0, (0, 0))
+
+
+@pytest.mark.parametrize("bad", [1.5, Fraction(5, 2), Fraction(2)])
+@pytest.mark.parametrize("slot", ["d", "s", "c0", "c1"])
+def test_virtualrep_rejects_inexact_coordinates(bad, slot):
+    coords = {"d": 3, "s": 1, "c0": 2, "c1": 0}
+    coords[slot] = bad
+    with pytest.raises(ValueError, match="integers"):
+        VirtualRep(3, coords["d"], coords["s"], (coords["c0"], coords["c1"]))
+
+
+def test_virtualrep_coordinate_container():
+    # the example that int() used to truncate to d=1, s=0, c=(2, 0)
+    with pytest.raises(ValueError):
+        VirtualRep(3, 1.5, 0.5, (2.9, -0.2))
+    assert VirtualRep(3, 1, 0, [2, 0]).c == (2, 0)
+    c = (2, 0)
+    assert VirtualRep(3, 1, 0, c).c is c
 
 
 def test_rawrep_reduction_edges():
