@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -37,7 +38,7 @@ from .classifying import (bgs1_presentation, bsigma2_consistency, collapse,
                           torus_check_su2, torus_check_u)
 from .mackey import MackeyClass, NonSignIsotypicError
 from .rolattice import VirtualRep, parse_degree
-from .stems import (STEM_METHODS, SectorElement, TupleAmbiguityError, box_degrees,
+from .stems import (STEM_METHODS, SectorElement, TupleAmbiguityError, box_columns,
                     lattice_mismatches, point_presentation, sphere_homology)
 
 
@@ -50,20 +51,32 @@ def compare_methods(n: int, bound: int,
                     methods: Mapping[str, Callable[[VirtualRep], MackeyClass]] | None = None,
                     ) -> tuple[int, list[tuple[VirtualRep, dict[str, MackeyClass]]]]:
     """Evaluate every stem method over the coordinate box and collect
-    the degrees where they disagree.  ``methods`` may replace the
-    default method table, which is how the negative-control tests make
-    sure a genuine disagreement cannot slip through."""
+    the degrees where they disagree, in ``box_degrees`` order.
+
+    The walk is column-major: per (s, c), a built-in method lists the
+    nonzero d of the column through the ``column`` function behind it
+    (found through ``__wrapped__``), and the methods are compared where
+    one of them is nonzero.  ``methods`` may replace the default table,
+    as the negative controls do; a method without a column is evaluated
+    per degree, so a replacement must be a new function, not a
+    ``__wrapped__`` wrapper of a built-in."""
     table = dict(STEM_METHODS if methods is None else methods)
     if not table:
         raise ValueError("need at least one method")
-    checked = 0
+    columns = {name: getattr(inspect.unwrap(fn), "column", None) for name, fn in table.items()}
+    window = range(-bound, bound + 1)
+    zero = MackeyClass.zero(n)
     disagreements = []
-    for v in box_degrees(n, bound):
-        results = {name: fn(v) for name, fn in table.items()}
-        checked += 1
-        if not _agree(results):
-            disagreements.append((v, results))
-    return checked, disagreements
+    for s, c in box_columns(n, bound):
+        answers = {name: column(n, s, c) if column else
+                   {d: table[name](VirtualRep(n, d, s, c)) for d in window}
+                   for name, column in columns.items()}
+        for d in sorted({d for found in answers.values() for d in found if d in window}):
+            results = {name: found.get(d, zero) for name, found in answers.items()}
+            if not _agree(results):
+                disagreements.append((VirtualRep(n, d, s, c), results))
+    disagreements.sort(key=lambda item: (item[0].d, item[0].s, item[0].c))
+    return len(window) ** (n + 1), disagreements
 
 
 def sector_to_burnside(elem: SectorElement) -> BurnsideElement:

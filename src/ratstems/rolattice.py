@@ -173,10 +173,10 @@ class RawRep:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("RawRep needs n >= 1")
-        object.__setattr__(self, "terms", tuple((tuple(ir), int(m)) for ir, m in self.terms))
+        object.__setattr__(self, "terms", tuple((tuple(ir), m) for ir, m in self.terms))
         for irrep, mult in self.terms:
-            if mult < 0:
-                raise ValueError("multiplicities must be >= 0")
+            if type(mult) is not int or mult < 0:
+                raise ValueError("multiplicities must be integers >= 0")
             kind = irrep[0]
             if kind in ("triv", "sigma"):
                 if len(irrep) != 1:
@@ -185,6 +185,8 @@ class RawRep:
                 if len(irrep) != 3:
                     raise ValueError(f"malformed rotation {irrep!r}")
                 _, s, m = irrep
+                if type(s) is not int or type(m) is not int:
+                    raise ValueError(f"lambda({s},{m}): s and m must be integers")
                 if not _is_power_of_two(m) or m > 2 ** self.n:
                     raise ValueError(f"lambda({s},{m}): m must be a power of two dividing 2^{self.n}")
                 if s % 2 != 1 or s < 1:

@@ -20,6 +20,11 @@ This module computes that sum by three independent routes:
   that sphere's orientation, and the powers of distinct generators
   combine by the degreewise box product.
 
+Each route is one function of a d-column (n, s, c), the degrees that
+differ only in d, listing the column's nonzero stems: ``closed_column``
+and ``sector_column`` in one O(n) pass, ``oracle_column`` as one sphere
+table.  The per-degree functions read one d off their column.
+
 The module also carries the monomial model itself (``SectorElement``,
 ``SectorMonomial``), a structured generators-and-relations presentation
 of the point (``point_presentation``) and the degree lattices of the
@@ -77,73 +82,81 @@ class StemTuple:
         return range(self.k_prime() + 1, self.k() + 1)
 
 
-def decode_degree(v: VirtualRep) -> tuple[StemTuple, ...]:
-    """All valid tuples decomposing the degree v, sorted by sector run.
+def _cut_runs(n: int, s: int, c: tuple[int, ...]) -> dict[int, list[range]]:
+    """The cut walk of one d-column: for each d, the sector runs of the
+    tuples that decompose the degree (d, s, c), last run first.
 
-    Enumerate cut positions: positions below the cut take the
-    j'-assignment, positions at or above it the j-assignment, with the
-    per-position totals forced by the coordinates of v.  A candidate
-    survives when its trivial part matches d.  That trivial part is a
-    running sum over the cuts: moving the cut past position p drops
-    2*totals[p] from it, or totals[p] at the sigma slot p = n-1.  So the
-    walk costs O(n), and the j, j' tuples are built only for surviving
-    cuts.  A cut past a zero total repeats the tuple of the cut before
-    it and is merged into it.
+    Positions below a cut take the j'-assignment, positions at or above
+    it the j-assignment, with per-position totals forced by s and c.
+    The cut lands at the trivial part d of its j-assignment; its run is
+    range(cut, k + 1), k the first nonzero total at or past the cut (n
+    if none), and a cut past a zero total repeats the cut before it.
+    One suffix scan gives both in O(n), without building j or j'.  The
+    runs at one d are provably disjoint, which is asserted here.
+    """
+    totals = [-ck for ck in c] + ([-s] if n >= 1 else [])
+    found: dict[int, list[range]] = {}
+    d, k = 0, n
+    for cut in range(n, -1, -1):
+        if cut < n:
+            d += totals[cut] if cut == n - 1 else 2 * totals[cut]
+            k = cut if totals[cut] != 0 else k
+        if cut == 0 or totals[cut - 1] != 0:
+            runs = found.setdefault(d, [])
+            if runs and runs[-1].start <= k:
+                raise TupleAmbiguityError(
+                    f"degree {VirtualRep(n, d, s, c)}: tuples with overlapping sector "
+                    f"runs {list(range(cut, k + 1))} and {list(runs[-1])}")
+            runs.append(range(cut, k + 1))
+    return found
+
+
+def decode_degree(v: VirtualRep) -> tuple[StemTuple, ...]:
+    """All valid tuples decomposing the degree v, sorted by sector run:
+    one per cut that ``_cut_runs`` lands at v.d.
 
     A degree can decode to more than one tuple (the occupied sectors
     then form several runs separated by gaps, e.g. l0 - 2*sigma at
     n = 2 decodes to u_l0^-1 u_sigma^2 and to a_l0^-1 a_sigma^2, with
-    runs {0} and {2}); the runs of distinct tuples are provably
-    disjoint, which is asserted here.
+    runs {0} and {2}).
     """
     n = v.n
-    totals = [-ck for ck in v.c] + ([-v.s] if n >= 1 else [])
-    d = 2 * sum(totals) - (totals[-1] if n >= 1 else 0)
-    found: list[StemTuple] = []
-    for cut in range(n + 1):
-        if d == v.d and (cut == 0 or totals[cut - 1] != 0):
-            found.append(StemTuple(n, (0,) * cut + tuple(totals[cut:]),
-                                   tuple(totals[:cut]) + (0,) * (n - cut)))
-        if cut < n:
-            d -= totals[cut] if cut == n - 1 else 2 * totals[cut]
-    tuples = sorted(found, key=lambda t: (t.k_prime(), t.k()))
-    for prev, cur in zip(tuples, tuples[1:]):
-        if prev.k() > cur.k_prime():
-            raise TupleAmbiguityError(
-                f"degree {v}: tuples with overlapping sector runs "
-                f"{list(prev.run())} and {list(cur.run())}")
-    return tuple(tuples)
+    totals = tuple(-ck for ck in v.c) + ((-v.s,) if n >= 1 else ())
+    return tuple(StemTuple(n, (0,) * run.start + totals[run.start:],
+                           totals[:run.start] + (0,) * (n - run.start))
+                 for run in reversed(_cut_runs(n, v.s, v.c).get(v.d, [])))
 
 
-def stem_at(v: VirtualRep) -> MackeyClass:
-    """The stem at degree v: the sum of the decoded tuples' runs."""
-    entries: list[tuple[int, int, int]] = []
-    for t in decode_degree(v):
-        entries.extend((i, t.sign(), 1) for i in t.run())
-    return MackeyClass(v.n, tuple(entries))
+def closed_column(n: int, s: int, c: tuple[int, ...]) -> dict[int, MackeyClass]:
+    """The stems of the d-column (n, s, c) at its nonzero d, in closed
+    form: the sum of the decoded tuples' runs, one simple per sector,
+    signed by the parity of the sigma-slot entry -s (a run reaches the
+    top sector only when that entry is 0)."""
+    sign = MINUS if s % 2 != 0 else PLUS
+    return {d: MackeyClass(n, tuple((i, sign if i < n else PLUS, 1)
+                                    for run in reversed(runs) for i in run))
+            for d, runs in _cut_runs(n, s, c).items()}
 
 
-def stem_at_sector(v: VirtualRep) -> MackeyClass:
-    """The stem at degree v, by sector membership of the monomial model.
+def sector_column(n: int, s: int, c: tuple[int, ...]) -> dict[int, MackeyClass]:
+    """The stems of the d-column (n, s, c) at its nonzero d, by sector
+    membership of the monomial model.
 
     Sector i < n is the Laurent lattice on u_sigma, the u_l_k with
-    k >= i and the a_l_k with k < i; its degrees satisfy
-    d = -s - 2*(c_i + ... + c_{n-2}).  Sector n is the Laurent lattice
-    on a_sigma and all a_l_k, with degrees d = 0.
+    k >= i and the a_l_k with k < i; it occupies the degree
+    d = -s - 2*(c_i + ... + c_{n-2}), signed by the parity of the
+    u_sigma exponent -s.  Sector n is the Laurent lattice on a_sigma
+    and all a_l_k, at d = 0.
     """
-    n = v.n
-    # u_sigma carries exponent -s; odd exponent means the sign line
-    sign = MINUS if v.s % 2 != 0 else PLUS
-    entries: list[tuple[int, int, int]] = []
-    tail = sum(v.c)  # c_i + ... + c_{n-2}, updated as i grows
+    sign = MINUS if s % 2 != 0 else PLUS
+    found: dict[int, list[tuple[int, int, int]]] = {}
+    tail = sum(c)  # c_i + ... + c_{n-2}, updated as i grows
     for i in range(n):
-        if v.d == -v.s - 2 * tail:
-            entries.append((i, sign, 1))
+        found.setdefault(-s - 2 * tail, []).append((i, sign, 1))
         if i < n - 1:
-            tail -= v.c[i]
-    if v.d == 0:
-        entries.append((n, PLUS, 1))
-    return MackeyClass(n, tuple(entries))
+            tail -= c[i]
+    found.setdefault(0, []).append((n, PLUS, 1))
+    return {d: MackeyClass(n, tuple(entries)) for d, entries in found.items()}
 
 
 @lru_cache(maxsize=None)
@@ -181,11 +194,32 @@ def sphere_homology(v: VirtualRep) -> GradedTable:
     return _smash_table(v.n, v.s, v.c).shift(v.d)
 
 
-def stem_at_oracle(v: VirtualRep) -> MackeyClass:
-    """The stem at degree v, read off sphere homology: the stem at
-    d + W equals the degree-d homology of the sphere on -W."""
-    return _smash_table(v.n, -v.s, tuple(-ck for ck in v.c)).get(v.d)
+def oracle_column(n: int, s: int, c: tuple[int, ...]) -> dict[int, MackeyClass]:
+    """The stems of the d-column (n, s, c) at its nonzero d, read off
+    sphere homology: the stem at d + W equals the degree-d homology of
+    the sphere on -W, so the column is one table."""
+    return dict(_smash_table(n, -s, tuple(-ck for ck in c)).entries)
 
+
+def stem_at(v: VirtualRep) -> MackeyClass:
+    """The stem at degree v, in closed form (``closed_column``)."""
+    return closed_column(v.n, v.s, v.c).get(v.d, MackeyClass.zero(v.n))
+
+
+def stem_at_sector(v: VirtualRep) -> MackeyClass:
+    """The stem at degree v, by sector membership (``sector_column``)."""
+    return sector_column(v.n, v.s, v.c).get(v.d, MackeyClass.zero(v.n))
+
+
+def stem_at_oracle(v: VirtualRep) -> MackeyClass:
+    """The stem at degree v, read off sphere homology (``oracle_column``)."""
+    return oracle_column(v.n, v.s, v.c).get(v.d, MackeyClass.zero(v.n))
+
+
+# each method's one implementation; compare_methods reads it from here
+stem_at.column = closed_column
+stem_at_sector.column = sector_column
+stem_at_oracle.column = oracle_column
 
 STEM_METHODS = {
     "closed": stem_at,
@@ -615,29 +649,43 @@ def fixed_point_rings(n: int) -> FixedPointRings:
     return FixedPointRings(n)
 
 
-def box_degrees(n: int, bound: int) -> Iterator[VirtualRep]:
-    """All degrees with coordinates in [-bound, bound]: d, then s, then
-    the rotation coefficients (for n = 0 only d exists)."""
+def box_columns(n: int, bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The d-columns of the box [-bound, bound]^(n+1): the (s, c) parts
+    of its degrees in lexicographic order (for n = 0 only (0, ()))."""
     if n < 0:
         raise ValueError("group exponent n must be >= 0")
     if bound < 0:
         raise ValueError("scan bound must be >= 0")
-    return (VirtualRep(n, coords[0], coords[1] if n else 0, coords[2:])
-            for coords in product(range(-bound, bound + 1), repeat=n + 1))
+    return ((coords[0] if n else 0, coords[1:])
+            for coords in product(range(-bound, bound + 1), repeat=n))
+
+
+def box_degrees(n: int, bound: int) -> Iterator[VirtualRep]:
+    """All degrees with coordinates in [-bound, bound]: d, then s, then
+    the rotation coefficients (for n = 0 only d exists)."""
+    columns = tuple(box_columns(n, bound))
+    return (VirtualRep(n, d, s, c) for d in range(-bound, bound + 1) for s, c in columns)
 
 
 def lattice_mismatches(n: int, bound: int) -> list[str]:
     """Compare the two fixed-point lattices against stem multiplicities
-    over the coordinate box [-bound, bound]^(n+1): the geometric lattice
-    must match the M_n multiplicity, the homotopy lattice the M_0^+
-    multiplicity.  Returns human-readable mismatch reports (expected
-    empty)."""
+    over the coordinate box [-bound, bound]^(n+1), one d-column at a
+    time: the geometric lattice must match the M_n multiplicity, the
+    homotopy lattice the M_0^+ multiplicity.  In a column the three are
+    nonzero only at the d of ``closed_column``, at d = 0 and at
+    d = -s - 2*sum(c).  Returns human-readable mismatch reports
+    (expected empty), in ``box_degrees`` order."""
     rings = fixed_point_rings(n)
+    window = range(-bound, bound + 1)
     bad = []
-    for v in box_degrees(n, bound):
-        cls = stem_at(v)
-        if rings.geometric_dim(v) != cls.mult(n, PLUS):
-            bad.append(f"geometric lattice disagrees with M{n} multiplicity at {v}")
-        if rings.homotopy_dim(v) != cls.mult(0, PLUS):
-            bad.append(f"homotopy lattice disagrees with M0 multiplicity at {v}")
-    return bad
+    for s, c in box_columns(n, bound):
+        column = closed_column(n, s, c)
+        for d in {*column, 0, -s - 2 * sum(c)}.intersection(window):
+            v = VirtualRep(n, d, s, c)
+            cls = column.get(d, MackeyClass.zero(n))
+            if rings.geometric_dim(v) != cls.mult(n, PLUS):
+                bad.append((v, f"geometric lattice disagrees with M{n} multiplicity at {v}"))
+            if rings.homotopy_dim(v) != cls.mult(0, PLUS):
+                bad.append((v, f"homotopy lattice disagrees with M0 multiplicity at {v}"))
+    bad.sort(key=lambda item: (item[0].d, item[0].s, item[0].c))
+    return [report for _, report in bad]

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from ratstems import cli
+from ratstems import cli, stems
 from ratstems.burnside import BurnsideElement
 from ratstems.mackey import MackeyClass, NonSignIsotypicError
 from ratstems.rolattice import VirtualRep
@@ -397,13 +397,13 @@ def test_parser_is_built_once(capsys, monkeypatch):
 # Library-level helpers behind the CLI.
 
 def test_box_degrees_exponent_zero():
-    assert list(cli.box_degrees(0, 2)) == [
+    assert list(stems.box_degrees(0, 2)) == [
         VirtualRep(0, d, 0, ()) for d in range(-2, 3)]
 
 
 def test_box_degrees_rejects_negative_exponent():
     with pytest.raises(ValueError, match="n must be >= 0"):
-        cli.box_degrees(-1, 1)
+        stems.box_degrees(-1, 1)
 
 
 def test_compare_methods_clean_and_injectable():
@@ -417,6 +417,118 @@ def test_compare_methods_clean_and_injectable():
     assert degrees == {"0", "1 - 1*sigma", "-1 + 1*sigma", "1*sigma", "-1*sigma"}
     with pytest.raises(ValueError):
         cli.compare_methods(1, 1, {})
+
+
+# ---------------------------------------------------------------------------
+# The column-major scan against a dense per-degree walk.
+
+def dense_compare(n, bound, methods):
+    """The reference scan: every method at every degree of the box, in
+    box_degrees order."""
+    checked, bad = 0, []
+    for v in stems.box_degrees(n, bound):
+        results = {name: fn(v) for name, fn in methods.items()}
+        checked += 1
+        first = next(iter(results.values()))
+        if any(cls != first for cls in results.values()):
+            bad.append((v, results))
+    return checked, bad
+
+
+def transparent(fn):
+    def wrapper(v):
+        return fn(v)
+    wrapper.__wrapped__ = fn
+    return wrapper
+
+
+def method_table(kind):
+    base = dict(stems.STEM_METHODS)
+    if kind == "zeroed-sector":
+        base["sector"] = lambda v: MackeyClass.zero(v.n)
+    elif kind == "shifted-closed":
+        closed = base["closed"]
+        base["closed"] = lambda v: closed(v + VirtualRep.one(v.n, 2))
+    elif kind == "wrapped":
+        base = {name: transparent(fn) for name, fn in base.items()}
+    return base
+
+
+@pytest.mark.parametrize("kind", ["clean", "zeroed-sector", "shifted-closed", "wrapped"])
+@pytest.mark.parametrize("n,bound", [(0, 0), (0, 2), (1, 2), (2, 2), (3, 1), (3, 2)])
+def test_column_scan_matches_dense_walk(kind, n, bound):
+    methods = method_table(kind)
+    checked, bad = cli.compare_methods(n, bound, methods)
+    want_checked, want_bad = dense_compare(n, bound, methods)
+    assert checked == want_checked == (2 * bound + 1) ** (n + 1)
+    # same degrees, same classes, same order of degrees and of methods
+    assert [(v, list(results.items())) for v, results in bad] == \
+        [(v, list(results.items())) for v, results in want_bad]
+    assert bool(bad) == (kind in ("zeroed-sector", "shifted-closed"))
+
+
+def test_injected_method_runs_once_per_degree():
+    seen = []
+
+    def zero(v):
+        seen.append(v)
+        return MackeyClass.zero(v.n)
+
+    checked, bad = cli.compare_methods(2, 1, {"closed": stems.stem_at, "zero": zero})
+    assert sorted(map(str, seen)) == sorted(map(str, stems.box_degrees(2, 1)))
+    assert len(seen) == checked == 27
+    assert [v for v, _ in bad] == [v for v in stems.box_degrees(2, 1)
+                                   if not stems.stem_at(v).is_zero()]
+
+
+def test_wrapped_method_takes_the_column_path():
+    # a wrapper that leaves __wrapped__ (as a tracer does) is read
+    # through the built-in's column: one sphere-table lookup per column
+    calls = []
+
+    def oracle(v):
+        calls.append(v)
+        return stems.stem_at_oracle(v)
+
+    oracle.__wrapped__ = stems.stem_at_oracle
+    info = stems._smash_table.cache_info
+    cli.compare_methods(3, 2, {"oracle": stems.stem_at_oracle})  # warm
+    lookups = []
+    for fn in (stems.stem_at_oracle, oracle):
+        before = info()
+        cli.compare_methods(3, 2, {"oracle": fn})
+        after = info()
+        lookups.append(after.hits + after.misses - before.hits - before.misses)
+    assert calls == []
+    assert lookups == [5 ** 3, 5 ** 3]
+
+
+COLUMN_NAMES = {"closed": "closed_column", "sector": "sector_column",
+                "oracle": "oracle_column"}
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_NAMES))
+def test_each_method_stands_alone(name, monkeypatch, capsys):
+    # with the other two methods' columns and the tuple decoder
+    # replaced by stubs that raise, the method still answers a box scan
+    # and a single degree, with its own values
+    fn = stems.STEM_METHODS[name]
+    frozen = {v: fn(v) for v in stems.box_degrees(2, 2)}
+
+    def stub(*args):
+        raise AssertionError(f"the {name} method called another method")
+
+    for other, column in COLUMN_NAMES.items():
+        if other != name:
+            monkeypatch.setattr(stems, column, stub)
+            monkeypatch.setattr(stems.STEM_METHODS[other], "column", stub)
+    monkeypatch.setattr(stems, "decode_degree", stub)
+    v = VirtualRep(2, 1, -1, (0,))
+    assert fn(v) == MackeyClass(2, ((0, -1, 1), (1, -1, 1)))
+    assert cli.compare_methods(2, 2, {name: fn, "frozen": frozen.__getitem__}) == (125, [])
+    for argv in (["--scan", "2"], ["--degree", "1 - sigma"]):
+        assert cli.run(["stems", "--n", "2", "--method", name, *argv]) == 0
+    assert "agree=yes" in capsys.readouterr().out
 
 
 def test_sector_to_burnside_bridge():

@@ -145,6 +145,30 @@ def test_virtualrep_coordinate_container():
     assert VirtualRep(3, 1, 0, c).c is c
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, 1.5, Fraction(2), Fraction(3, 2)])
+@pytest.mark.parametrize("irrep", [("triv",), ("sigma",), ("lam", 1, 2)])
+def test_rawrep_rejects_inexact_multiplicities(bad, irrep):
+    with pytest.raises(ValueError, match="integers"):
+        RawRep(2, ((irrep, bad),))
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, Fraction(1), 1.5])
+@pytest.mark.parametrize("slot", ["s", "m"])
+def test_rawrep_rejects_inexact_rotation_parameters(bad, slot):
+    s, m = (bad, 1) if slot == "s" else (1, bad)
+    with pytest.raises(ValueError, match="integers"):
+        RawRep(2, ((("lam", s, m), 1),))
+
+
+def test_rawrep_keeps_integer_terms():
+    # the example that int() used to truncate to 1 + 1*l0
+    with pytest.raises(ValueError):
+        RawRep(2, ((("triv",), 1.5), (("lam", 1.0, 1), 1)))
+    raw = RawRep(2, ((["triv"], 2), (["lam", 1, 1], 0)))
+    assert raw.terms == ((("triv",), 2), (("lam", 1, 1), 0))
+    assert raw.reduce() == VirtualRep(2, 2, 0, (0,))
+
+
 def test_rawrep_reduction_edges():
     n = 3
     # a full turn is two trivial summands, a half turn is two signs

@@ -8,6 +8,7 @@ restriction recursion) are checked over random degrees.
 """
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -221,6 +222,97 @@ def test_decode_matches_reference_on_seeded_degrees():
         v = parse_degree(text, n)
         assert decode_degree(v) == ref_decode_degree(v), text
     assert len(decode_degree(parse_degree("l0 - 2*sigma", 2))) == 2
+
+
+def alternating_degree(n):
+    """d = s = 0 with rotation coefficients 1, -1, 1, ...: about n/2
+    cuts land at d = 0, each with a run of its own."""
+    return VirtualRep(n, 0, 0, tuple((-1) ** k for k in range(n - 1)))
+
+
+def test_stem_at_is_linear_in_n_on_many_tuples():
+    for n in range(41):
+        v = alternating_degree(n)
+        runs = tuple((i, t.sign(), 1) for t in decode_degree(v) for i in t.run())
+        assert stem_at(v) == MackeyClass(n, runs) == stem_at_sector(v), n
+    assert len(decode_degree(alternating_degree(40))) == 20
+    # 10001 tuples of length 20001 each: the tuple view is quadratic
+    # here, the closed column linear
+    n = 20001
+    v = alternating_degree(n)
+    start = time.perf_counter()
+    cls = stem_at(v)
+    assert time.perf_counter() - start < 1.0
+    assert cls == M(n, *((i, PLUS) for i in [*range(0, n, 2), n])) == stem_at_sector(v)
+
+
+# ---------------------------------------------------------------------------
+# Columns: each method answers a whole d-column (n, s, c) at once.
+
+COLUMNS = [(stem_at, stems.closed_column), (stem_at_sector, stems.sector_column),
+           (stem_at_oracle, stems.oracle_column)]
+
+
+@pytest.mark.parametrize("fn,column", COLUMNS, ids=["closed", "sector", "oracle"])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_column_matches_per_degree(fn, column, n):
+    assert fn.column is column
+    for bound in (0, 1, 2):
+        window = range(-bound, bound + 1)
+        for s, c in stems.box_columns(n, bound):
+            found = column(n, s, c)
+            assert len(found) <= n + 1
+            assert not any(cls.is_zero() for cls in found.values())
+            per_degree = {d: fn(VirtualRep(n, d, s, c)) for d in window}
+            assert {d: cls for d, cls in found.items() if d in window} == \
+                {d: cls for d, cls in per_degree.items() if not cls.is_zero()}, (s, c)
+
+
+@pytest.mark.parametrize("n,bound", [(0, 0), (0, 2), (1, 3), (2, 2), (3, 1)])
+def test_box_columns_are_the_columns_of_box_degrees(n, bound):
+    want = [(v.s, v.c) for v in stems.box_degrees(n, bound) if v.d == -bound]
+    assert list(stems.box_columns(n, bound)) == want
+    assert len(list(stems.box_degrees(n, bound))) == (2 * bound + 1) ** (n + 1)
+    with pytest.raises(ValueError):
+        stems.box_columns(n, -1)
+
+
+@pytest.mark.parametrize("corrupt", ["none", "empty", "shifted"])
+def test_lattice_mismatches_match_dense_walk(corrupt, monkeypatch):
+    closed = stems.closed_column
+    if corrupt == "empty":
+        monkeypatch.setattr(stems, "closed_column", lambda n, s, c: {})
+    elif corrupt == "shifted":
+        monkeypatch.setattr(stems, "closed_column", lambda n, s, c: {
+            d + 1: cls for d, cls in closed(n, s, c).items()})
+    for n, bound in [(1, 2), (2, 2), (3, 1)]:
+        rings = fixed_point_rings(n)
+        want = []
+        for v in box_degrees(n, bound):
+            cls = stems.closed_column(n, v.s, v.c).get(v.d, MackeyClass.zero(n))
+            if rings.geometric_dim(v) != cls.mult(n, PLUS):
+                want.append(f"geometric lattice disagrees with M{n} multiplicity at {v}")
+            if rings.homotopy_dim(v) != cls.mult(0, PLUS):
+                want.append(f"homotopy lattice disagrees with M0 multiplicity at {v}")
+        assert lattice_mismatches(n, bound) == want
+        assert bool(want) == (corrupt != "none")
+
+
+def test_closed_column_matches_reference_decoder():
+    # the closed column against the sum of the quadratic reference
+    # walk's runs, on the seeded degrees' columns
+    rng = random.Random(4711)
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        coords = [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)]
+        s, c = (coords[-1], tuple(coords[:-1])) if n else (0, ())
+        for d, cls in stems.closed_column(n, s, c).items():
+            tuples = ref_decode_degree(VirtualRep(n, d, s, c))
+            assert cls == MackeyClass(n, tuple((i, t.sign(), 1)
+                                               for t in tuples for i in t.run()))
+        for d in range(-8, 9):
+            v = VirtualRep(n, d, s, c)
+            assert bool(ref_decode_degree(v)) == (d in stems.closed_column(n, s, c))
 
 
 # ---------------------------------------------------------------------------
