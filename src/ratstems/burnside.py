@@ -88,9 +88,6 @@ class BurnsideElement:
         self._assert_same(other)
         return BurnsideElement(self.level, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "BurnsideElement":
-        return BurnsideElement(self.level, tuple(-a for a in self.coeffs))
-
     def scale(self, q: Fraction | int) -> "BurnsideElement":
         q = Fraction(q)
         return BurnsideElement(self.level, tuple(q * a for a in self.coeffs))

@@ -102,13 +102,6 @@ class MackeyClass:
             raise ValueError("ambient group exponents differ")
         return MackeyClass(self.n, self.entries + other.entries)
 
-    def __rmul__(self, k: int) -> "MackeyClass":
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            raise ValueError("multiplicity scaling must be >= 0")
-        return MackeyClass(self.n, tuple((i, s, k * m) for i, s, m in self.entries))
-
     def box(self, other: "MackeyClass") -> "MackeyClass":
         """Box product: levelwise, signs multiply, cross terms vanish."""
         if other.n != self.n:

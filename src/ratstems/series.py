@@ -41,15 +41,6 @@ class TruncatedSeries:
         return cls(bound, (1,))
 
     @classmethod
-    def monomial(cls, bound: int, degree: int, coeff: Fraction | int = 1) -> "TruncatedSeries":
-        if degree < 0:
-            raise ValueError("monomial degree must be >= 0")
-        cs = [0] * (degree + 1)
-        if degree <= bound:
-            cs[degree] = coeff
-        return cls(bound, cs)
-
-    @classmethod
     def geometric(cls, bound: int, step: int) -> "TruncatedSeries":
         """The series 1/(1 - t^step) = 1 + t^step + t^(2 step) + ..."""
         if step <= 0:
@@ -71,13 +62,6 @@ class TruncatedSeries:
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
         return TruncatedSeries(self.bound, (a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(self.bound, (a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.bound, (-a for a in self.coeffs))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)

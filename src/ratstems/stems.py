@@ -127,13 +127,21 @@ def decode_degree(v: VirtualRep) -> tuple[StemTuple, ...]:
                  for run in reversed(_cut_runs(n, v.s, v.c).get(v.d, [])))
 
 
+# The MackeyClass constructor behind a bounded cache, for the classes
+# that closed_column and sector_column build: an equal stem is one
+# validated, frozen instance, so equal columns compare by identity.
+# Only values pass through it; an invalid entry tuple raises and is not
+# cached.
+_stem_class = lru_cache(maxsize=1024)(MackeyClass)
+
+
 def closed_column(n: int, s: int, c: tuple[int, ...]) -> dict[int, MackeyClass]:
     """The stems of the d-column (n, s, c) at its nonzero d, in closed
     form: the sum of the decoded tuples' runs, one simple per sector,
     signed by the parity of the sigma-slot entry -s (a run reaches the
     top sector only when that entry is 0)."""
     sign = MINUS if s % 2 != 0 else PLUS
-    return {d: MackeyClass(n, tuple((i, sign if i < n else PLUS, 1)
+    return {d: _stem_class(n, tuple((i, sign if i < n else PLUS, 1)
                                     for run in reversed(runs) for i in run))
             for d, runs in _cut_runs(n, s, c).items()}
 
@@ -156,7 +164,7 @@ def sector_column(n: int, s: int, c: tuple[int, ...]) -> dict[int, MackeyClass]:
         if i < n - 1:
             tail -= c[i]
     found.setdefault(0, []).append((n, PLUS, 1))
-    return {d: MackeyClass(n, tuple(entries)) for d, entries in found.items()}
+    return {d: _stem_class(n, tuple(entries)) for d, entries in found.items()}
 
 
 @lru_cache(maxsize=None)
@@ -173,19 +181,40 @@ def _power_sphere_table(n: int, kind: str, k: int, e: int) -> GradedTable:
                                 for h in range(n + 1)))
 
 
+class _Prefix(tuple):
+    """Rotation coefficients that carry the sphere table of the prefix
+    below them (the same coefficients with the last nonzero one zeroed).
+    It hashes and compares as the plain tuple, so it keys the same
+    ``_smash_table`` entry."""
+
+    below: GradedTable
+
+
 @lru_cache(maxsize=None)
 def _smash_table(n: int, s: int, c: tuple[int, ...]) -> GradedTable:
     """Homology table of the virtual sphere S^(s*sigma + sum c_k*l_k):
     the last nonzero rotation power is boxed onto the table of the rest,
-    so the recursion is at most n deep and powers of one generator come
-    from geometry, not from repeated boxing."""
-    for k in reversed(range(len(c))):
-        if c[k] != 0:
-            rest = c[:k] + (0,) + c[k + 1:]
-            return _smash_table(n, s, rest).box(_power_sphere_table(n, "lam", k, c[k]))
-    if s != 0:
-        return _power_sphere_table(n, "sigma", -1, s)
-    return GradedTable.from_dict(n, {0: MackeyClass.burnside_class(n)})
+    so powers of one generator come from geometry, not from repeated
+    boxing.  Every prefix of c (c with its last nonzero powers zeroed)
+    is cached.  A miss folds the powers in a loop, lowest first, handing
+    each prefix the table below it, so no chain recurses."""
+    nonzero = [j for j, cj in enumerate(c) if cj]
+    if not nonzero:
+        if s != 0:
+            return _power_sphere_table(n, "sigma", -1, s)
+        return GradedTable.from_dict(n, {0: MackeyClass.burnside_class(n)})
+    *lower, k = nonzero
+    below = getattr(c, "below", None)
+    if below is None:
+        prefix = [0] * len(c)
+        below = _smash_table(n, s, tuple(prefix))
+        for j in lower:
+            prefix[j] = c[j]
+            key = _Prefix(prefix)
+            key.below = below
+            below = _smash_table(n, s, key)
+            del key.below  # the cache may keep the key, not the table below
+    return below.box(_power_sphere_table(n, "lam", k, c[k]))
 
 
 def sphere_homology(v: VirtualRep) -> GradedTable:
@@ -290,24 +319,6 @@ class SectorMonomial:
                 normal[key] = normal.get(key, 0) + int(e)
         object.__setattr__(self, "exponents",
                            tuple(sorted((k, e) for k, e in normal.items() if e != 0)))
-
-    def degree(self) -> VirtualRep:
-        """|u_sigma| = 1 - sigma, |u_l_k| = 2 - l_k, |a_l_k| = -l_k,
-        |a_sigma| = -sigma."""
-        d = s = 0
-        c = [0] * max(self.m - 1, 0)
-        for key, e in self.exponents:
-            if key == _US:
-                d += e
-                s -= e
-            elif key == _AS:
-                s -= e
-            elif key[0] == "ul":
-                d += 2 * e
-                c[key[1]] -= e
-            else:
-                c[key[1]] -= e
-        return VirtualRep(self.m, d, s, tuple(c))
 
     @classmethod
     def for_degree(cls, m: int, sector: int, v: VirtualRep) -> "SectorMonomial":
@@ -457,9 +468,6 @@ class SectorElement:
         for i, q in other.coeffs:
             out[i] = out.get(i, Fraction(0)) + q
         return SectorElement.from_dict(self.level, self.degree, out)
-
-    def __sub__(self, other: "SectorElement") -> "SectorElement":
-        return self + other.scale(-1)
 
     def scale(self, q: Fraction | int) -> "SectorElement":
         q = Fraction(q)

@@ -531,6 +531,69 @@ def test_each_method_stands_alone(name, monkeypatch, capsys):
     assert "agree=yes" in capsys.readouterr().out
 
 
+# ---------------------------------------------------------------------------
+# Whole-column acceptance and the shared stem classes.
+
+def padded_closed(pad_d):
+    """The closed method with one extra M0 added at d = pad_d in every
+    column, as a column method of its own."""
+    def column(n, s, c):
+        found = dict(stems.closed_column(n, s, c))
+        found[pad_d] = found.get(pad_d, MackeyClass.zero(n)) + MackeyClass.simple(n, 0)
+        return found
+
+    def method(v):
+        return column(v.n, v.s, v.c).get(v.d, MackeyClass.zero(v.n))
+
+    method.column = column
+    return method
+
+
+@pytest.mark.parametrize("pad_d", [-3, 3, 10 ** 6])
+def test_columns_differing_outside_the_window_agree(pad_d):
+    methods = dict(stems.STEM_METHODS, padded=padded_closed(pad_d))
+    assert cli.compare_methods(2, 2, methods) == (125, [])
+
+
+@pytest.mark.parametrize("pad_d", [-2, 0, 2])
+def test_columns_differing_inside_the_window_match_dense_walk(pad_d):
+    methods = dict(stems.STEM_METHODS, padded=padded_closed(pad_d))
+    checked, bad = cli.compare_methods(2, 2, methods)
+    want_checked, want_bad = dense_compare(2, 2, methods)
+    assert checked == want_checked == 125
+    assert bad
+    assert [(v, list(results.items())) for v, results in bad] == \
+        [(v, list(results.items())) for v, results in want_bad]
+
+
+def test_closed_and_sector_share_equal_stems():
+    seen = {}
+    for s, c in stems.box_columns(3, 2):
+        closed, sector = stems.closed_column(3, s, c), stems.sector_column(3, s, c)
+        assert closed == sector
+        assert all(closed[d] is sector[d] for d in closed)
+        # equal stems of different columns are one instance too
+        assert all(seen.setdefault(cls, cls) is cls for cls in closed.values())
+    assert len(seen) > 1
+
+
+def test_shared_stem_cache_is_bounded_and_validates():
+    make = stems._stem_class
+    maxsize = make.cache_parameters()["maxsize"]
+    assert isinstance(maxsize, int) and maxsize > 0
+    before = make.cache_info()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            make(2, ((3, 1, 1),))
+    after = make.cache_info()
+    assert (after.hits, after.misses, after.currsize) == \
+        (before.hits, before.misses + 2, before.currsize)
+
+
+def test_negative_control_still_catches_a_zeroed_sector():
+    assert cli._check_negative_control() is None
+
+
 def test_sector_to_burnside_bridge():
     unit = SectorElement.unit(2, 2)
     assert cli.sector_to_burnside(unit) == BurnsideElement.one(2, 2)
