@@ -50,7 +50,7 @@ for d in table.degrees()[:4]:
 
 pres = bgs1_presentation(n, bound)
 print()
-print(f"presentation: generators {pres.generators}")
+print(f"presentation: generators {tuple(name for name, _ in pres.degrees)}")
 print("relations:")
 for r in pres.relations:
     print(f"  {r}")

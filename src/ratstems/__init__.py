@@ -15,45 +15,9 @@ The package computes, in exact arithmetic over the rationals:
   fixed-point diagrams, the circle presentation, maximal-torus
   comparisons and the idempotent collapse (``classifying``);
 * a command-line interface over all of it (``cli``).
+
+The submodules are the API; the package itself defines only
+``__version__``.
 """
 
-from .burnside import BurnsideElement, GroupLevel, from_marks, idempotents
-from .classifying import (CirclePresentation, CollapsePresentation,
-                          FixedPointDiagram, LevelComponents,
-                          SigmaTwoComparison, TorusCheckSU2, TorusCheckU,
-                          bgs1_presentation, bsigma2_consistency, bu_series,
-                          collapse, collapse_expand, compositions,
-                          fixed_point_data, gm_assemble, sym_invariants_series,
-                          torus_check_su2, torus_check_u, weyl_eigendata)
-from .mackey import (MINUS, PLUS, GradedTable, MackeyClass,
-                     NonSignIsotypicError, classify)
-from .rolattice import (DegreeSyntaxError, RawRep, VirtualRep, parse_degree)
-from .series import TruncatedSeries
-from .stems import (STEM_METHODS, FixedPointRings, PointPresentation,
-                    PresentationGenerator, SectorElement, SectorMonomial,
-                    StemTuple, TupleAmbiguityError, decode_degree,
-                    fixed_point_rings, lattice_mismatches, point_presentation,
-                    sector_alphabet, sphere_homology, stem_at, stem_at_oracle,
-                    stem_at_sector)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BurnsideElement", "GroupLevel", "from_marks", "idempotents",
-    "CirclePresentation", "CollapsePresentation", "FixedPointDiagram",
-    "LevelComponents", "SigmaTwoComparison", "TorusCheckSU2", "TorusCheckU",
-    "bgs1_presentation", "bsigma2_consistency", "bu_series", "collapse",
-    "collapse_expand", "compositions", "fixed_point_data", "gm_assemble",
-    "sym_invariants_series", "torus_check_su2", "torus_check_u",
-    "weyl_eigendata",
-    "MINUS", "PLUS", "GradedTable", "MackeyClass", "NonSignIsotypicError",
-    "classify",
-    "DegreeSyntaxError", "RawRep", "VirtualRep", "parse_degree",
-    "TruncatedSeries",
-    "STEM_METHODS", "FixedPointRings", "PointPresentation",
-    "PresentationGenerator", "SectorElement", "SectorMonomial", "StemTuple",
-    "TupleAmbiguityError", "decode_degree", "fixed_point_rings",
-    "lattice_mismatches", "point_presentation", "sector_alphabet",
-    "sphere_homology", "stem_at", "stem_at_oracle", "stem_at_sector",
-    "__version__",
-]

@@ -244,13 +244,13 @@ class CirclePresentation:
     """Presentation of the B_G S^1 cohomology: a polynomial Euler class
     w in degree 2 over the degree-0 ring, which is the Burnside algebra
     extended by orthogonal classes u[m,j] (m the conductor level,
-    j one of the 2^m - 1 nontrivial character labels).  ``completion``
+    j one of the 2^m - 1 nontrivial character labels).  ``degrees``
+    names each generator with its degree, w first.  ``completion``
     pins the sum of each conductor's classes to a Burnside element;
     ``table`` is the Mackey-class answer the presentation predicts."""
 
     n: int
     bound: int
-    generators: tuple[str, ...]
     degrees: tuple[tuple[str, int], ...]
     relations: tuple[str, ...]
     completion: tuple[tuple[int, BurnsideElement], ...]
@@ -262,13 +262,8 @@ class CirclePresentation:
 
 def bgs1_presentation(n: int, bound: int) -> CirclePresentation:
     table = _circle_table(n, bound)
-    gens = ["w"]
     degrees = [("w", 2)]
-    for m in range(1, n + 1):
-        for j in range(1, 2 ** m):
-            name = f"u[{m},{j}]"
-            gens.append(name)
-            degrees.append((name, 0))
+    degrees += [(f"u[{m},{j}]", 0) for m in range(1, n + 1) for j in range(1, 2 ** m)]
     relations = (
         "u[m,j]*u[m',j'] = u[m,j] if (m,j) = (m',j') else 0",
         "res to level m-1 of u[m,j] = 0",
@@ -281,8 +276,8 @@ def bgs1_presentation(n: int, bound: int) -> CirclePresentation:
         for _ in range(n - m):
             elem = elem.tr()
         completion.append((m, elem.scale(Fraction(1, 2 ** m))))
-    return CirclePresentation(n, bound, tuple(gens), tuple(degrees),
-                              relations, tuple(completion), table)
+    return CirclePresentation(n, bound, tuple(degrees), relations,
+                              tuple(completion), table)
 
 
 def _circle_table(n: int, bound: int) -> GradedTable:

@@ -51,7 +51,7 @@ def compare_methods(n: int, bound: int,
                     methods: Mapping[str, Callable[[VirtualRep], MackeyClass]] | None = None,
                     ) -> tuple[int, list[tuple[VirtualRep, dict[str, MackeyClass]]]]:
     """Evaluate every stem method over the coordinate box and collect
-    the degrees where they disagree, in ``box_degrees`` order.
+    the degrees where they disagree, ordered by d, then s, then c.
 
     The walk is column-major: per (s, c), a built-in method lists the
     nonzero d of the column through the ``column`` function behind it

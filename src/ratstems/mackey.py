@@ -54,6 +54,8 @@ class MackeyClass:
         in_order = True
         prev = None
         for i, sign, mult in self.entries:
+            if type(i) is not int or type(sign) is not int or type(mult) is not int:
+                raise ValueError("levels, signs and multiplicities must be integers")
             if not 0 <= i <= self.n:
                 raise ValueError(f"level {i} outside 0..{self.n}")
             if sign not in (PLUS, MINUS):
@@ -132,18 +134,6 @@ class MackeyClass:
 
     def level_dims(self) -> tuple[int, ...]:
         return tuple(self.level_dim(h) for h in range(self.n + 1))
-
-    def eigendata(self) -> tuple[tuple[int, int, int], ...]:
-        """Per-level (plus, minus, other) dimensions of the Weyl modules
-        that ``classify`` consumes; the third slot is always 0."""
-        plus = [0] * (self.n + 1)
-        minus = [0] * (self.n + 1)
-        for i, sign, mult in self.entries:
-            if sign == PLUS:
-                plus[i] += mult
-            else:
-                minus[i] += mult
-        return tuple((plus[h], minus[h], 0) for h in range(self.n + 1))
 
     def __str__(self) -> str:
         if not self.entries:

@@ -149,73 +149,25 @@ class VirtualRep:
         return " ".join(parts)
 
 
-Irrep = tuple  # ("triv",) | ("sigma",) | ("lam", s, m)
+def _rotation(n: int, s: int, m: int) -> VirtualRep:
+    """The rotation lambda(s, m) in the reduced basis.
 
-
-def _is_power_of_two(m: int) -> bool:
-    return m >= 1 and m & (m - 1) == 0
-
-
-@dataclass(frozen=True)
-class RawRep:
-    """A formal non-virtual sum of named irreducibles of C_{2^n}.
-
-    Entries are (irrep, multiplicity) pairs with irrep one of ("triv",),
-    ("sigma",) or ("lam", s, m).  A rotation lambda(s, m) requires m a
-    power of two dividing 2^n and s odd with s*m < 2^n; the degenerate
-    lambda(1, 2^n) (a full turn, i.e. two trivial summands) is accepted
-    as well.
+    m must be a power of two dividing 2^n and s odd with s*m < 2^n; the
+    full turn lambda(1, 2^n) is accepted too.  lambda(s, 2^k) reduces to
+    l_k for k <= n-2, to 2*sigma at k = n-1 and to 2 trivial at k = n.
     """
-
-    n: int
-    terms: tuple[tuple[Irrep, int], ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("RawRep needs n >= 1")
-        object.__setattr__(self, "terms", tuple((tuple(ir), m) for ir, m in self.terms))
-        for irrep, mult in self.terms:
-            if type(mult) is not int or mult < 0:
-                raise ValueError("multiplicities must be integers >= 0")
-            kind = irrep[0]
-            if kind in ("triv", "sigma"):
-                if len(irrep) != 1:
-                    raise ValueError(f"malformed irreducible {irrep!r}")
-            elif kind == "lam":
-                if len(irrep) != 3:
-                    raise ValueError(f"malformed rotation {irrep!r}")
-                _, s, m = irrep
-                if type(s) is not int or type(m) is not int:
-                    raise ValueError(f"lambda({s},{m}): s and m must be integers")
-                if not _is_power_of_two(m) or m > 2 ** self.n:
-                    raise ValueError(f"lambda({s},{m}): m must be a power of two dividing 2^{self.n}")
-                if s % 2 != 1 or s < 1:
-                    raise ValueError(f"lambda({s},{m}): s must be odd and >= 1")
-                if s * m >= 2 ** self.n and not (s == 1 and m == 2 ** self.n):
-                    raise ValueError(f"lambda({s},{m}): need s < 2^{self.n}/m")
-            else:
-                raise ValueError(f"unknown irreducible kind {kind!r}")
-
-    def reduce(self) -> VirtualRep:
-        """Reduce to the stable basis: lambda(s, 2^k) collapses to l_k,
-        lambda(*, 2^(n-1)) to 2*sigma and lambda(*, 2^n) to 2 trivial."""
-        d = s = 0
-        c = [0] * max(self.n - 1, 0)
-        for irrep, mult in self.terms:
-            kind = irrep[0]
-            if kind == "triv":
-                d += mult
-            elif kind == "sigma":
-                s += mult
-            else:
-                k = irrep[2].bit_length() - 1
-                if k <= self.n - 2:
-                    c[k] += mult
-                elif k == self.n - 1:
-                    s += 2 * mult
-                else:
-                    d += 2 * mult
-        return VirtualRep(self.n, d, s, tuple(c))
+    if n < 1:
+        raise ValueError("lam(s, m) needs n >= 1")
+    if m < 1 or m & (m - 1) or m > 2 ** n:
+        raise ValueError(f"lambda({s},{m}): m must be a power of two dividing 2^{n}")
+    if s < 1 or s % 2 == 0:
+        raise ValueError(f"lambda({s},{m}): s must be odd and >= 1")
+    if s * m >= 2 ** n and not (s == 1 and m == 2 ** n):
+        raise ValueError(f"lambda({s},{m}): need s < 2^{n}/m")
+    k = m.bit_length() - 1
+    if k <= n - 2:
+        return VirtualRep.lam(n, k)
+    return 2 * (VirtualRep.sigma(n) if k == n - 1 else VirtualRep.one(n))
 
 
 class DegreeSyntaxError(ValueError):
@@ -335,10 +287,9 @@ class _DegreeParser:
             m = self.number(*self.expect("int")[1:])
             self.expect(")")
             try:
-                raw = RawRep(self.n, ((("lam", s, m), 1),))
+                return _rotation(self.n, s, m)
             except ValueError as exc:
                 raise DegreeSyntaxError(str(exc), line, col) from exc
-            return raw.reduce()
         if re.fullmatch(r"l\d+", lexeme):
             k = self.number(lexeme[1:], line, col)
             if k > self.n - 2:

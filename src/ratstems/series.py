@@ -96,9 +96,6 @@ class TruncatedSeries:
                 cs[k * r] = a
         return TruncatedSeries(self.bound, cs)
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented

@@ -668,13 +668,6 @@ def box_columns(n: int, bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
             for coords in product(range(-bound, bound + 1), repeat=n))
 
 
-def box_degrees(n: int, bound: int) -> Iterator[VirtualRep]:
-    """All degrees with coordinates in [-bound, bound]: d, then s, then
-    the rotation coefficients (for n = 0 only d exists)."""
-    columns = tuple(box_columns(n, bound))
-    return (VirtualRep(n, d, s, c) for d in range(-bound, bound + 1) for s, c in columns)
-
-
 def lattice_mismatches(n: int, bound: int) -> list[str]:
     """Compare the two fixed-point lattices against stem multiplicities
     over the coordinate box [-bound, bound]^(n+1), one d-column at a
@@ -682,7 +675,7 @@ def lattice_mismatches(n: int, bound: int) -> list[str]:
     homotopy lattice the M_0^+ multiplicity.  In a column the three are
     nonzero only at the d of ``closed_column``, at d = 0 and at
     d = -s - 2*sum(c).  Returns human-readable mismatch reports
-    (expected empty), in ``box_degrees`` order."""
+    (expected empty), ordered by d, then s, then c."""
     rings = fixed_point_rings(n)
     window = range(-bound, bound + 1)
     bad = []

@@ -323,14 +323,15 @@ def test_circle_presentation_matches_assembly(n):
 
 def test_circle_presentation_generators():
     pres = bgs1_presentation(3, 8)
-    assert pres.generators[0] == "w"
-    u_names = pres.generators[1:]
+    names = [name for name, _ in pres.degrees]
+    assert names[0] == "w"
+    u_names = names[1:]
     assert len(u_names) == 2 ** 4 - 3 - 2
     assert u_names[0] == "u[1,1]"
     assert u_names[-1] == "u[3,7]"
     assert dict(pres.degrees)["w"] == 2
     assert all(dict(pres.degrees)[u] == 0 for u in u_names)
-    assert bgs1_presentation(1, 8).generators == ("w", "u[1,1]")
+    assert bgs1_presentation(1, 8).degrees == (("w", 2), ("u[1,1]", 0))
     with pytest.raises(ValueError):
         bgs1_presentation(0, 8)
 

@@ -4,6 +4,9 @@ codes, both output formats, the file sink, and the failure paths
 
 import argparse
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,7 @@ from ratstems.burnside import BurnsideElement
 from ratstems.mackey import MackeyClass, NonSignIsotypicError
 from ratstems.rolattice import VirtualRep
 from ratstems.stems import SectorElement, TupleAmbiguityError
+from test_stems import box_degrees
 
 
 def run_lines(capsys, argv):
@@ -278,6 +282,15 @@ def test_unknown_name_error_location(capsys):
     assert err == "error: line 1, column 9: unknown representation name 'bogus'\n"
 
 
+def test_lam_error_names_the_rotation(capsys):
+    status, lines, err = run_lines(capsys, ["stems", "--n", "0", "--degree", "lam(1,1)"])
+    assert (status, lines) == (2, [])
+    assert err == "error: line 1, column 1: lam(s, m) needs n >= 1\n"
+    status, lines, err = run_lines(capsys, ["sphere", "--n", "2", "--rep", "1 + lam(3,2)"])
+    assert (status, lines) == (2, [])
+    assert err == "error: line 1, column 5: lambda(3,2): need s < 2^2/m\n"
+
+
 def test_value_errors_are_usage_errors(capsys, tmp_path):
     status, _, err = run_lines(capsys, ["point-presentation", "--n", "0"])
     assert status == 2
@@ -397,13 +410,17 @@ def test_parser_is_built_once(capsys, monkeypatch):
 # Library-level helpers behind the CLI.
 
 def test_box_degrees_exponent_zero():
-    assert list(stems.box_degrees(0, 2)) == [
-        VirtualRep(0, d, 0, ()) for d in range(-2, 3)]
+    # the box of C_1 degrees is the one column d = -2..2
+    assert list(stems.box_columns(0, 2)) == [(0, ())]
+    checked, bad = cli.compare_methods(0, 2)
+    assert (checked, bad) == (5, [])
 
 
 def test_box_degrees_rejects_negative_exponent():
     with pytest.raises(ValueError, match="n must be >= 0"):
-        stems.box_degrees(-1, 1)
+        stems.box_columns(-1, 1)
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        cli.compare_methods(-1, 1)
 
 
 def test_compare_methods_clean_and_injectable():
@@ -424,9 +441,9 @@ def test_compare_methods_clean_and_injectable():
 
 def dense_compare(n, bound, methods):
     """The reference scan: every method at every degree of the box, in
-    box_degrees order."""
+    order of d, then s, then c."""
     checked, bad = 0, []
-    for v in stems.box_degrees(n, bound):
+    for v in box_degrees(n, bound):
         results = {name: fn(v) for name, fn in methods.items()}
         checked += 1
         first = next(iter(results.values()))
@@ -475,9 +492,9 @@ def test_injected_method_runs_once_per_degree():
         return MackeyClass.zero(v.n)
 
     checked, bad = cli.compare_methods(2, 1, {"closed": stems.stem_at, "zero": zero})
-    assert sorted(map(str, seen)) == sorted(map(str, stems.box_degrees(2, 1)))
+    assert sorted(map(str, seen)) == sorted(map(str, box_degrees(2, 1)))
     assert len(seen) == checked == 27
-    assert [v for v, _ in bad] == [v for v in stems.box_degrees(2, 1)
+    assert [v for v, _ in bad] == [v for v in box_degrees(2, 1)
                                    if not stems.stem_at(v).is_zero()]
 
 
@@ -513,7 +530,7 @@ def test_each_method_stands_alone(name, monkeypatch, capsys):
     # replaced by stubs that raise, the method still answers a box scan
     # and a single degree, with its own values
     fn = stems.STEM_METHODS[name]
-    frozen = {v: fn(v) for v in stems.box_degrees(2, 2)}
+    frozen = {v: fn(v) for v in box_degrees(2, 2)}
 
     def stub(*args):
         raise AssertionError(f"the {name} method called another method")
@@ -603,3 +620,32 @@ def test_sector_to_burnside_bridge():
     assert cli.sector_to_burnside(lifted) == want
     with pytest.raises(ValueError):
         cli.sector_to_burnside(SectorElement.euler_sigma(2))
+
+
+# ---------------------------------------------------------------------------
+# The package: submodules are the API.
+
+PACKAGE_DIR = Path(cli.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
+
+
+def test_package_defines_only_the_version():
+    # besides __version__, only the submodules imported so far
+    import ratstems
+    assert {name for name in vars(ratstems) if not name.startswith("_")} <= set(MODULES)
+    assert ratstems.__version__ == cli.__version__
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_on_its_own(module):
+    # a fresh isolated interpreter: nothing imported before, no PYTHONPATH
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE_DIR.parent)!r}); "
+            f"import ratstems.{module}")
+    subprocess.run([sys.executable, "-I", "-c", code], check=True, timeout=60)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_project_version_is_the_package_version():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    config = pyprojecttoml.read_configuration(PACKAGE_DIR.parents[1] / "pyproject.toml")
+    assert config["project"]["version"] == cli.__version__

@@ -5,6 +5,8 @@ level i is visible at levels h >= i, except that a sign summand
 vanishes at the very top where there is no group left to act.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -89,6 +91,25 @@ def test_validation():
         MackeyClass(2, tuple((i, s, -m) for i, s, m in MackeyClass.burnside_class(2).entries))
 
 
+@pytest.mark.parametrize("bad", [1.5, Fraction(3, 2), True])
+@pytest.mark.parametrize("slot", ["level", "sign", "mult"])
+def test_validation_rejects_inexact_entries(bad, slot):
+    # bool is refused too, though True == 1 would pass every range check
+    entry = {"level": 0, "sign": PLUS, "mult": 2}
+    entry[slot] = bad
+    with pytest.raises(ValueError, match="integers"):
+        MackeyClass(2, ((entry["level"], entry["sign"], entry["mult"]),))
+    with pytest.raises(ValueError, match="integers"):  # on the merge path too
+        MackeyClass(2, ((1, PLUS, 1), (entry["level"], entry["sign"], entry["mult"])))
+
+
+def test_classify_rejects_inexact_eigendata():
+    with pytest.raises(ValueError, match="integers"):
+        classify(1, [(1.5, 0, 0), (0, 0, 0)])
+    with pytest.raises(ValueError, match="integers"):
+        classify(1, [(0, Fraction(1), 0), (1, 0, 0)])
+
+
 @given(st.integers(min_value=1, max_value=3).flatmap(mackey_classes))
 def test_box_unit_is_the_burnside_class(cls):
     assert cls.box(MackeyClass.burnside_class(cls.n)) == cls
@@ -115,8 +136,9 @@ def test_box_is_commutative_and_distributive(triple):
 
 @given(st.integers(min_value=1, max_value=4).flatmap(mackey_classes))
 def test_classify_round_trips(cls):
-    assert classify(cls.n, cls.eigendata()) == cls
-    assert all(other == 0 for _, _, other in cls.eigendata())
+    # per level, the (plus, minus, other) dimensions of the Weyl modules
+    eigendata = [(cls.mult(h, PLUS), cls.mult(h, MINUS), 0) for h in range(cls.n + 1)]
+    assert classify(cls.n, eigendata) == cls
 
 
 def test_classify_errors():

@@ -13,8 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ratstems.rolattice import (DegreeSyntaxError, RawRep, VirtualRep,
-                                parse_degree)
+from ratstems.rolattice import DegreeSyntaxError, VirtualRep, parse_degree
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +39,21 @@ def oracle_fixed_dim(n: int, h: int, terms) -> int:
     return total // 2 ** h
 
 
+def degree_text(terms) -> str:
+    """A raw representation, a sum of named irreducibles with
+    multiplicities, written as degree text: ``k``, ``k*sigma`` and
+    ``k*lam(s,m)`` terms."""
+    parts = []
+    for irrep, mult in terms:
+        if irrep == ("triv",):
+            parts.append(str(mult))
+        elif irrep == ("sigma",):
+            parts.append(f"{mult}*sigma")
+        else:
+            parts.append(f"{mult}*lam({irrep[1]},{irrep[2]})")
+    return " + ".join(parts) or "0"
+
+
 def raw_reps(n: int):
     irreps = [("triv",), ("sigma",)]
     for k in range(n + 1):
@@ -48,35 +62,38 @@ def raw_reps(n: int):
             if s * m < 2 ** n or (s == 1 and m == 2 ** n):
                 irreps.append(("lam", s, m))
     term = st.tuples(st.sampled_from(irreps), st.integers(min_value=0, max_value=3))
-    return st.lists(term, max_size=5).map(lambda ts: RawRep(n, tuple(ts)))
+    return st.lists(term, max_size=5).map(lambda ts: (n, tuple(ts)))
 
 
-@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: raw_reps(n)))
+@given(st.integers(min_value=1, max_value=4).flatmap(raw_reps))
 def test_reduce_preserves_fixed_dimensions(raw):
-    v = raw.reduce()
-    for h in range(raw.n + 1):
-        assert v.fixed_dim(h) == oracle_fixed_dim(raw.n, h, raw.terms)
+    n, terms = raw
+    v = parse_degree(degree_text(terms), n)
+    for h in range(n + 1):
+        assert v.fixed_dim(h) == oracle_fixed_dim(n, h, terms)
 
 
-@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: raw_reps(n)))
+@given(st.integers(min_value=1, max_value=4).flatmap(raw_reps))
 def test_restrict_commutes_with_fixed_dimensions(raw):
-    v = raw.reduce()
-    for h in range(raw.n + 1):
+    n, terms = raw
+    v = parse_degree(degree_text(terms), n)
+    for h in range(n + 1):
         w = v.restrict(h)
         for hp in range(h + 1):
             assert w.fixed_dim(hp) == v.fixed_dim(hp)
 
 
-@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: raw_reps(n)))
+@given(st.integers(min_value=1, max_value=4).flatmap(raw_reps))
 def test_fixed_sign_is_sigma_parity(raw):
     # the generator acts by -1 on each fixed sign line and preserves
     # orientation on everything else, so the degree below the top is
     # (-1)^(number of sigma summands)
-    v = raw.reduce()
-    sigma_count = sum(mult for irrep, mult in raw.terms if irrep == ("sigma",))
-    for h in range(raw.n):
+    n, terms = raw
+    v = parse_degree(degree_text(terms), n)
+    sigma_count = sum(mult for irrep, mult in terms if irrep == ("sigma",))
+    for h in range(n):
         assert v.fixed_sign(h) == (-1) ** sigma_count
-    assert v.fixed_sign(raw.n) == 1
+    assert v.fixed_sign(n) == 1
 
 
 def test_fixed_dim_golden():
@@ -145,53 +162,75 @@ def test_virtualrep_coordinate_container():
     assert VirtualRep(3, 1, 0, c).c is c
 
 
+# ---------------------------------------------------------------------------
+# Raw terms in degree text: integer multiplicities and lam(s, m).
+
+def literal(q) -> str:
+    """How a non-integer number would be written in degree text."""
+    return f"{q.numerator}/{q.denominator}" if isinstance(q, Fraction) else str(q)
+
+
+def assert_refused_at(text: str, n: int, col: int, width: int = 1) -> DegreeSyntaxError:
+    """parse_degree refuses text on line 1, in columns col..col+width-1."""
+    with pytest.raises(DegreeSyntaxError) as exc:
+        parse_degree(text, n)
+    assert exc.value.line == 1 and col <= exc.value.col < col + width, (text, exc.value)
+    return exc.value
+
+
 @pytest.mark.parametrize("bad", [True, 1.0, 1.5, Fraction(2), Fraction(3, 2)])
 @pytest.mark.parametrize("irrep", [("triv",), ("sigma",), ("lam", 1, 2)])
 def test_rawrep_rejects_inexact_multiplicities(bad, irrep):
-    with pytest.raises(ValueError, match="integers"):
-        RawRep(2, ((irrep, bad),))
+    # a multiplicity that is not an integer literal is refused, never
+    # truncated to one
+    text = degree_text([(irrep, literal(bad))])
+    assert_refused_at("1 + " + text, 2, 5, len(literal(bad)))
 
 
 @pytest.mark.parametrize("bad", [True, 1.0, Fraction(1), 1.5])
 @pytest.mark.parametrize("slot", ["s", "m"])
 def test_rawrep_rejects_inexact_rotation_parameters(bad, slot):
-    s, m = (bad, 1) if slot == "s" else (1, bad)
-    with pytest.raises(ValueError, match="integers"):
-        RawRep(2, ((("lam", s, m), 1),))
+    s, m = (literal(bad), 1) if slot == "s" else (1, literal(bad))
+    text = f"sigma + lam({s},{m})"
+    assert_refused_at(text, 2, text.index(literal(bad)) + 1, len(literal(bad)))
 
 
 def test_rawrep_keeps_integer_terms():
     # the example that int() used to truncate to 1 + 1*l0
-    with pytest.raises(ValueError):
-        RawRep(2, ((("triv",), 1.5), (("lam", 1.0, 1), 1)))
-    raw = RawRep(2, ((["triv"], 2), (["lam", 1, 1], 0)))
-    assert raw.terms == ((("triv",), 2), (("lam", 1, 1), 0))
-    assert raw.reduce() == VirtualRep(2, 2, 0, (0,))
+    assert_refused_at("1.5 + lam(1.0,1)", 2, 2)
+    assert parse_degree("2 + 0*lam(1,1)", 2) == VirtualRep(2, 2, 0, (0,))
 
 
 def test_rawrep_reduction_edges():
     n = 3
     # a full turn is two trivial summands, a half turn is two signs
-    assert RawRep(n, ((("lam", 1, 2 ** n), 1),)).reduce() == VirtualRep(n, 2, 0, (0, 0))
-    assert RawRep(n, ((("lam", 1, 2 ** (n - 1)), 1),)).reduce() == VirtualRep(n, 0, 2, (0, 0))
-    assert RawRep(n, ((("lam", 3, 2), 1),)).reduce() == VirtualRep(n, 0, 0, (0, 1))
+    assert parse_degree("lam(1,8)", n) == VirtualRep(n, 2, 0, (0, 0))
+    assert parse_degree("lam(1,4)", n) == VirtualRep(n, 0, 2, (0, 0))
+    assert parse_degree("lam(3,2)", n) == VirtualRep(n, 0, 0, (0, 1))
+    assert parse_degree("lam(7,1)", n) == VirtualRep(n, 0, 0, (1, 0))
+    assert parse_degree("3*lam(1,8) - 2*lam(1,4)", n) == VirtualRep(n, 6, -4, (0, 0))
+    # at n = 1 the half turn lambda(1, 1) is already 2*sigma
+    assert parse_degree("lam(1,1)", 1) == VirtualRep(1, 0, 2, ())
+    assert parse_degree("lam(1,2)", 1) == VirtualRep(1, 2, 0, ())
 
 
 def test_rawrep_validation():
-    with pytest.raises(ValueError):
-        RawRep(0, ())
-    with pytest.raises(ValueError):
-        RawRep(2, ((("lam", 2, 2), 1),))  # even s
-    with pytest.raises(ValueError):
-        RawRep(2, ((("lam", 1, 3), 1),))  # m not a power of two
-    with pytest.raises(ValueError):
-        RawRep(2, ((("lam", 3, 2), 1),))  # s*m too large for n=2
-    with pytest.raises(ValueError):
-        RawRep(2, ((("lam", 1, 8), 1),))  # m beyond the group order
-    with pytest.raises(ValueError):
-        RawRep(2, ((("triv",), -1),))
-    with pytest.raises(ValueError):
-        RawRep(2, ((("spin",), 1),))
+    # each lam(s, m) rule fails at the lam token, with the rule in the message
+    for text, n, message in [
+            ("1 + lam(1,1)", 0, "lam(s, m) needs n >= 1"),
+            ("sigma - 2*lam(2,2)", 2, "s must be odd"),
+            ("sigma - 2*lam(0,1)", 2, "s must be odd"),
+            ("1 + lam(1,3)", 2, "m must be a power of two"),
+            ("1 + lam(1,0)", 2, "m must be a power of two"),
+            ("1 + lam(1,8)", 2, "m must be a power of two dividing 2^2"),
+            ("1 + lam(3,2)", 2, "need s < 2^2/m"),
+            ("1 + lam(3,4)", 2, "need s < 2^2/m"),
+            ("1 + lam(5,1)", 2, "need s < 2^2/m")]:
+        exc = assert_refused_at(text, n, text.index("lam") + 1)
+        assert message in str(exc), text
+    with pytest.raises(DegreeSyntaxError) as exc:
+        parse_degree("1 +\n  lam(1,3)", 2)
+    assert (exc.value.line, exc.value.col) == (2, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ def test_constructors():
     assert as_list(TruncatedSeries(3, [0, 0, 1])) == [0, 0, 1, 0]
     assert as_list(TruncatedSeries(3, [0, 0, Fraction(1, 2)])) == [0, 0, Fraction(1, 2), 0]
     # a coefficient above the bound is silently dropped from the window
-    assert TruncatedSeries(3, [0] * 7 + [1]).is_zero()
+    assert TruncatedSeries(3, [0] * 7 + [1]) == TruncatedSeries.zero(3)
     assert as_list(TruncatedSeries.geometric(6, 2)) == [1, 0, 1, 0, 1, 0, 1]
 
 

@@ -33,8 +33,10 @@ def M(n, *pairs):
 
 
 def box_degrees(n, bound):
+    """Every degree of the box [-bound, bound]^(n+1), ordered by d, then
+    s, then c (for n = 0 only d exists)."""
     for coords in product(range(-bound, bound + 1), repeat=n + 1):
-        yield VirtualRep(n, coords[0], coords[1], coords[2:])
+        yield VirtualRep(n, coords[0], coords[1] if n else 0, coords[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +200,7 @@ def ref_decode_degree(v):
 
 @pytest.mark.parametrize("n,bound", [(0, 3), (1, 4), (2, 3), (3, 2), (4, 2), (5, 1)])
 def test_decode_matches_reference_over_box(n, bound):
-    for v in stems.box_degrees(n, bound):
+    for v in box_degrees(n, bound):
         assert decode_degree(v) == ref_decode_degree(v), v
 
 
@@ -271,9 +273,9 @@ def test_column_matches_per_degree(fn, column, n):
 
 @pytest.mark.parametrize("n,bound", [(0, 0), (0, 2), (1, 3), (2, 2), (3, 1)])
 def test_box_columns_are_the_columns_of_box_degrees(n, bound):
-    want = [(v.s, v.c) for v in stems.box_degrees(n, bound) if v.d == -bound]
+    want = [(v.s, v.c) for v in box_degrees(n, bound) if v.d == -bound]
     assert list(stems.box_columns(n, bound)) == want
-    assert len(list(stems.box_degrees(n, bound))) == (2 * bound + 1) ** (n + 1)
+    assert len(list(box_degrees(n, bound))) == (2 * bound + 1) ** (n + 1)
     with pytest.raises(ValueError):
         stems.box_columns(n, -1)
 
