@@ -276,11 +276,11 @@ def cmd_stems(args: argparse.Namespace) -> tuple[list[dict], int]:
 
 def cmd_sphere(args: argparse.Namespace) -> tuple[list[dict], int]:
     v = parse_degree(args.rep, args.n)
-    table = sphere_homology(v)
-    return [{"command": "sphere", "n": args.n, "sphere": str(v), "degree": d,
+    sphere = str(v)
+    return [{"command": "sphere", "n": args.n, "sphere": sphere, "degree": d,
              "class": _class_record(cls),
              "level_dims": list(cls.level_dims())}
-            for d, cls in table.entries], 0
+            for d, cls in sphere_homology(v).entries], 0
 
 
 def cmd_point_presentation(args: argparse.Namespace) -> tuple[list[dict], int]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 PLUS = 1
@@ -133,7 +134,14 @@ class MackeyClass:
         return dim
 
     def level_dims(self) -> tuple[int, ...]:
-        return tuple(self.level_dim(h) for h in range(self.n + 1))
+        """All n+1 level dimensions in one cumulative pass: M_i^+ adds 1
+        from level i upward, M_i^- from level i up to n-1."""
+        steps = [0] * (self.n + 1)
+        for i, sign, mult in self.entries:
+            steps[i] += mult
+            if sign == MINUS:
+                steps[self.n] -= mult
+        return tuple(accumulate(steps))
 
     def __str__(self) -> str:
         if not self.entries:
@@ -186,13 +194,21 @@ class GradedTable:
     entries: tuple[tuple[int, MackeyClass], ...] = ()
 
     def __post_init__(self) -> None:
-        merged: dict[int, MackeyClass] = {}
+        # a degree with one class keeps it; several become one class
+        # built from their concatenated entries
+        grouped: dict[int, list[MackeyClass]] = {}
         for degree, cls in self.entries:
             if cls.n != self.n:
                 raise ValueError("class and table ambient exponents differ")
-            merged[degree] = merged.get(degree, MackeyClass.zero(self.n)) + cls
-        normal = tuple(sorted((d, c) for d, c in merged.items() if not c.is_zero()))
-        object.__setattr__(self, "entries", normal)
+            grouped.setdefault(degree, []).append(cls)
+        normal = []
+        for degree in sorted(grouped):
+            classes = grouped[degree]
+            cls = classes[0] if len(classes) == 1 else MackeyClass(
+                self.n, tuple(e for c in classes for e in c.entries))
+            if cls.entries:
+                normal.append((degree, cls))
+        object.__setattr__(self, "entries", tuple(normal))
 
     @classmethod
     def from_dict(cls, n: int, classes: Mapping[int, MackeyClass]) -> "GradedTable":
@@ -213,13 +229,19 @@ class GradedTable:
         """Degreewise box product (Kunneth rule for smash products)."""
         if other.n != self.n:
             raise ValueError("ambient group exponents differ")
-        out: list[tuple[int, MackeyClass]] = []
+        # M_i^a box M_j^b vanishes unless i == j, so group the other
+        # side by level once and pair each entry only with its own level
+        by_level: dict[int, list[tuple[int, int, int]]] = {}
+        for d2, c2 in other.entries:
+            for j, s2, m2 in c2.entries:
+                by_level.setdefault(j, []).append((d2, s2, m2))
+        out: dict[int, list[tuple[int, int, int]]] = {}
         for d1, c1 in self.entries:
-            for d2, c2 in other.entries:
-                prod = c1.box(c2)
-                if not prod.is_zero():
-                    out.append((d1 + d2, prod))
-        return GradedTable(self.n, tuple(out))
+            for i, s1, m1 in c1.entries:
+                for d2, s2, m2 in by_level.get(i, ()):
+                    out.setdefault(d1 + d2, []).append((i, s1 * s2, m1 * m2))
+        return GradedTable(self.n, tuple((d, MackeyClass(self.n, tuple(es)))
+                                         for d, es in out.items()))
 
     def shift(self, d: int) -> "GradedTable":
         return GradedTable(self.n, tuple((deg + d, c) for deg, c in self.entries))

@@ -10,7 +10,17 @@ have the same bound and agree coefficientwise.  Arithmetic never leaves
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
+
+
+_ZERO = Fraction(0)
+
+
+def _numerators(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+    """A common denominator of the coefficients and their numerators over it."""
+    den = lcm(*(q.denominator for q in coeffs))
+    return den, [q.numerator * (den // q.denominator) for q in coeffs]
 
 
 class TruncatedSeries:
@@ -21,11 +31,11 @@ class TruncatedSeries:
     def __init__(self, bound: int, coeffs: Iterable[Fraction | int] = ()):
         if bound < 0:
             raise ValueError("series bound must be >= 0")
-        cs = [Fraction(0)] * (bound + 1)
+        cs = [_ZERO] * (bound + 1)
         for k, q in enumerate(coeffs):
             if k > bound:
                 break
-            cs[k] = Fraction(q)
+            cs[k] = q if type(q) is Fraction else Fraction(q)
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -65,15 +75,20 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        cs = [Fraction(0)] * (self.bound + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(self.bound + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    cs[i + j] += a * b
-        return TruncatedSeries(self.bound, cs)
+        # over common denominators the convolution runs on integers, and
+        # each output coefficient becomes one Fraction at the end
+        da, a = _numerators(self.coeffs)
+        db, b = _numerators(other.coeffs)
+        terms = [(j, y) for j, y in enumerate(b) if y]
+        acc = [0] * (self.bound + 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in terms:
+                    if i + j > self.bound:
+                        break
+                    acc[i + j] += x * y
+        den = da * db
+        return TruncatedSeries(self.bound, [Fraction(v, den) if v else _ZERO for v in acc])
 
     def scale(self, q: Fraction | int) -> "TruncatedSeries":
         q = Fraction(q)

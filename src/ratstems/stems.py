@@ -171,14 +171,20 @@ def sector_column(n: int, s: int, c: tuple[int, ...]) -> dict[int, MackeyClass]:
 def _power_sphere_table(n: int, kind: str, k: int, e: int) -> GradedTable:
     """Homology table of S^(e*w) for one irreducible w (sigma or l_k),
     read off fixed-point geometry: level h gives one M_h in the degree
-    of its fixed sphere, signed by the Weyl action there, and the table
-    merges the levels that share a degree.  A negative power is the
+    of its fixed sphere, signed by the Weyl action there, and the levels
+    that share a degree make one class.  A negative power is the
     dual of the positive one."""
     if e < 0:
         return _power_sphere_table(n, kind, k, -e).dual()
     w = e * (VirtualRep.sigma(n) if kind == "sigma" else VirtualRep.lam(n, k))
-    return GradedTable(n, tuple((w.fixed_dim(h), MackeyClass.simple(n, h, w.fixed_sign(h)))
-                                for h in range(n + 1)))
+    levels: dict[int, list[tuple[int, int, int]]] = {}
+    tail = 2 * sum(w.c)  # 2*(c_h + ... + c_{n-2}): w.fixed_dim(h) without its O(n) sum
+    for h in range(n + 1):
+        degree = w.d + (w.s if h < n else 0) + tail
+        levels.setdefault(degree, []).append((h, w.fixed_sign(h), 1))
+        if h < n - 1:
+            tail -= 2 * w.c[h]
+    return GradedTable(n, tuple((d, MackeyClass(n, tuple(es))) for d, es in levels.items()))
 
 
 class _Prefix(tuple):

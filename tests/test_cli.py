@@ -6,6 +6,7 @@ import argparse
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,20 @@ def test_large_n_is_answered(capsys, argv, last):
     status, lines, _ = run_lines(capsys, argv)
     assert status == 0
     assert lines[-1] == last
+
+
+def test_sphere_of_a_long_rotation_chain_is_quick(capsys):
+    # l0 + ... + l398 at n = 400 folds 399 tables of 401 levels; each
+    # Kunneth box pairs entries only within a level, so this takes about
+    # a second, and a box over all entry pairs takes over 15 s
+    rep = " + ".join(f"l{k}" for k in range(399))
+    start = time.perf_counter()
+    status, lines, _ = run_lines(capsys, ["sphere", "--n", "400", "--rep", rep])
+    elapsed = time.perf_counter() - start
+    assert status == 0
+    assert len(lines) == 400
+    assert lines[-1] == "degree=798 | class=M0 | level_dims=" + ",".join(["1"] * 401)
+    assert elapsed < 10.0
 
 
 def test_consistency_report(capsys):

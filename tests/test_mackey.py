@@ -180,6 +180,30 @@ def test_table_box_is_degreewise(pair):
         assert prod.get(d) == want
 
 
+def table_entries(n: int):
+    # a narrow degree range, so degrees repeat; the list may be empty
+    degree = st.integers(min_value=-2, max_value=2)
+    return st.lists(st.tuples(degree, mackey_classes(n)), max_size=5)
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.tuples(st.just(n), table_entries(n), table_entries(n))))
+def test_table_box_matches_pairwise_class_box(args):
+    # the levelwise Kunneth box against every pair of the raw entries,
+    # repeated degrees included, boxed one class pair at a time
+    n, ea, eb = args
+    want = GradedTable(n, tuple((d1 + d2, c1.box(c2)) for d1, c1 in ea for d2, c2 in eb))
+    assert GradedTable(n, tuple(ea)).box(GradedTable(n, tuple(eb))) == want
+    empty = GradedTable(n)
+    assert GradedTable(n, tuple(ea)).box(empty) == empty == empty.box(GradedTable(n, tuple(eb)))
+
+
+def test_table_keeps_a_lone_class():
+    cls = MackeyClass(2, ((0, MINUS, 2), (2, PLUS, 1)))
+    assert GradedTable(2, ((3, cls),)).get(3) is cls
+    assert GradedTable.from_dict(2, {-1: cls, 0: MackeyClass.simple(2, 1)}).get(-1) is cls
+
+
 def test_table_operations():
     n = 2
     burn = MackeyClass.burnside_class(n)

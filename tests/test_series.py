@@ -66,6 +66,23 @@ def test_mul_matches_convolution(a, b):
     assert as_list(sa * sb) == poly_mul(a, b, BOUND)
 
 
+fraction_lists = st.lists(st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                                    st.integers(min_value=1, max_value=12)),
+                         max_size=BOUND + 1)
+
+
+@given(fraction_lists, fraction_lists)
+def test_mul_of_fractions_is_exact(a, b):
+    # the product convolves integer numerators over common denominators;
+    # it must still equal the Fraction convolution and hold only Fractions
+    sa, sb = TruncatedSeries(BOUND, a), TruncatedSeries(BOUND, b)
+    for prod, want in [(sa * sb, poly_mul(a, b, BOUND)),
+                       (sb * sa, poly_mul(b, a, BOUND)),
+                       (sa * sa * sb, poly_mul(poly_mul(a, a, BOUND), b, BOUND))]:
+        assert as_list(prod) == want
+        assert all(type(q) is Fraction for q in prod.coeffs)
+
+
 @given(coeff_lists, coeff_lists, coeff_lists)
 def test_ring_axioms(a, b, c):
     sa, sb, sc = (TruncatedSeries(BOUND, x) for x in (a, b, c))

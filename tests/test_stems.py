@@ -413,6 +413,27 @@ def test_long_rotation_chain_needs_no_recursion():
     assert stem_at_oracle(-v) == stem_at(-v)
 
 
+def test_three_methods_agree_at_large_n():
+    # whole columns as dicts: seeded sparse columns (5 nonzero rotation
+    # coefficients) up to n = 1000, and dense ones at n = 100
+    rng = random.Random(7)
+    cases = []
+    for n in (40, 200, 600, 1000):
+        for _ in range(3):
+            c = [0] * (n - 1)
+            for k in rng.sample(range(n - 1), 5):
+                c[k] = rng.choice([-3, -2, -1, 1, 2, 3])
+            cases.append((n, rng.randint(-4, 4), tuple(c)))
+    for _ in range(3):
+        cases.append((100, rng.randint(-4, 4),
+                      tuple(rng.choice([-2, -1, 1, 2]) for _ in range(99))))
+    for n, s, c in cases:
+        closed = stems.closed_column(n, s, c)
+        assert closed
+        assert stems.sector_column(n, s, c) == closed
+        assert stems.oracle_column(n, s, c) == closed
+
+
 # ---------------------------------------------------------------------------
 # The sector model.
 
