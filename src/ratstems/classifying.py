@@ -208,10 +208,10 @@ def weyl_eigendata(orbits: Iterable[tuple[TruncatedSeries, int, int, int]],
     for series, size, sign, count in orbits:
         if sign not in (1, -1) or size < 1:
             raise ValueError("orbit needs size >= 1 and sign +-1")
-        q = series.coeff(degree) * count
-        if q.denominator != 1:
+        q = series.coeff(degree)
+        dim, rest = divmod(q.numerator * count, q.denominator)
+        if rest:
             raise ValueError("component dimensions must be integral")
-        dim = int(q)
         p = dim if sign == 1 else 0
         mi = dim if (-1) ** size == sign else 0
         plus += p

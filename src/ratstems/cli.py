@@ -43,8 +43,8 @@ from .stems import (STEM_METHODS, SectorElement, TupleAmbiguityError, box_column
 
 
 def _agree(results: Mapping[str, Any]) -> bool:
-    first, *rest = results.values()
-    return all(cls == first for cls in rest)
+    values = list(results.values())
+    return values.count(values[0]) == len(values)
 
 
 def compare_methods(n: int, bound: int,
@@ -570,6 +570,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 1
     except (ValueError, OSError) as exc:  # bad degree, int past the str limit, bad --out
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a size whose tables cannot be allocated, such as --n 10**15
+        print("error: input too large: out of memory", file=sys.stderr)
         return 2
     print(text)
     return status

@@ -37,6 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from operator import neg
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .mackey import MINUS, PLUS, GradedTable, MackeyClass
@@ -135,15 +137,31 @@ def decode_degree(v: VirtualRep) -> tuple[StemTuple, ...]:
 _stem_class = lru_cache(maxsize=1024)(MackeyClass)
 
 
+@lru_cache(maxsize=1024)
+def _closed_class(n: int, odd: bool, runs: tuple[range, ...]) -> MackeyClass:
+    """The closed-form stem of one d: one simple per sector of the runs
+    (given last run first), signed by the parity of s except at the top."""
+    sign = MINUS if odd else PLUS
+    return _stem_class(n, tuple((i, sign if i < n else PLUS, 1)
+                                for run in reversed(runs) for i in run))
+
+
 def closed_column(n: int, s: int, c: tuple[int, ...]) -> dict[int, MackeyClass]:
     """The stems of the d-column (n, s, c) at its nonzero d, in closed
     form: the sum of the decoded tuples' runs, one simple per sector,
     signed by the parity of the sigma-slot entry -s (a run reaches the
-    top sector only when that entry is 0)."""
-    sign = MINUS if s % 2 != 0 else PLUS
-    return {d: _stem_class(n, tuple((i, sign if i < n else PLUS, 1)
-                                    for run in reversed(runs) for i in run))
-            for d, runs in _cut_runs(n, s, c).items()}
+    top sector only when that entry is 0).  A class is looked up by its
+    runs, so its entries are built only the first time they occur."""
+    odd = s % 2 != 0
+    return {d: _closed_class(n, odd, tuple(runs)) for d, runs in _cut_runs(n, s, c).items()}
+
+
+@lru_cache(maxsize=1024)
+def _sector_class(n: int, odd: bool, sectors: tuple[int, ...]) -> MackeyClass:
+    """The stem of the occupied sectors (increasing): M_i signed by the
+    parity of s for i < n, and M_n^+ for the top sector."""
+    sign = MINUS if odd else PLUS
+    return _stem_class(n, tuple((i, sign if i < n else PLUS, 1) for i in sectors))
 
 
 def sector_column(n: int, s: int, c: tuple[int, ...]) -> dict[int, MackeyClass]:
@@ -154,17 +172,17 @@ def sector_column(n: int, s: int, c: tuple[int, ...]) -> dict[int, MackeyClass]:
     k >= i and the a_l_k with k < i; it occupies the degree
     d = -s - 2*(c_i + ... + c_{n-2}), signed by the parity of the
     u_sigma exponent -s.  Sector n is the Laurent lattice on a_sigma
-    and all a_l_k, at d = 0.
+    and all a_l_k, at d = 0.  A class is looked up by its sectors.
     """
-    sign = MINUS if s % 2 != 0 else PLUS
-    found: dict[int, list[tuple[int, int, int]]] = {}
+    found: dict[int, list[int]] = {}
     tail = sum(c)  # c_i + ... + c_{n-2}, updated as i grows
     for i in range(n):
-        found.setdefault(-s - 2 * tail, []).append((i, sign, 1))
+        found.setdefault(-s - 2 * tail, []).append(i)
         if i < n - 1:
             tail -= c[i]
-    found.setdefault(0, []).append((n, PLUS, 1))
-    return {d: _stem_class(n, tuple(entries)) for d, entries in found.items()}
+    found.setdefault(0, []).append(n)
+    odd = s % 2 != 0
+    return {d: _sector_class(n, odd, tuple(sectors)) for d, sectors in found.items()}
 
 
 @lru_cache(maxsize=None)
@@ -196,7 +214,11 @@ class _Prefix(tuple):
     below: GradedTable
 
 
-@lru_cache(maxsize=None)
+# Bounded so that a large box scan does not keep every column's table:
+# the scan reads each column's table once, and the prefixes it reuses
+# were built a few columns before.  4096 holds all 3,324 distinct tables
+# of a heavy benchmark round, so no workload there evicts.
+@lru_cache(maxsize=4096)
 def _smash_table(n: int, s: int, c: tuple[int, ...]) -> GradedTable:
     """Homology table of the virtual sphere S^(s*sigma + sum c_k*l_k):
     the last nonzero rotation power is boxed onto the table of the rest,
@@ -229,11 +251,12 @@ def sphere_homology(v: VirtualRep) -> GradedTable:
     return _smash_table(v.n, v.s, v.c).shift(v.d)
 
 
-def oracle_column(n: int, s: int, c: tuple[int, ...]) -> dict[int, MackeyClass]:
+def oracle_column(n: int, s: int, c: tuple[int, ...]) -> Mapping[int, MackeyClass]:
     """The stems of the d-column (n, s, c) at its nonzero d, read off
     sphere homology: the stem at d + W equals the degree-d homology of
-    the sphere on -W, so the column is one table."""
-    return dict(_smash_table(n, -s, tuple(-ck for ck in c)).entries)
+    the sphere on -W, so the column is one table, served as a read-only
+    view of its cached degree map."""
+    return MappingProxyType(_smash_table(n, -s, tuple(map(neg, c)))._by_degree)
 
 
 def stem_at(v: VirtualRep) -> MackeyClass:

@@ -310,6 +310,17 @@ def test_weyl_eigendata():
         classify(1, [weyl_eigendata([(one, 3, 1, 1)], 0), (0, 0, 0)])
 
 
+def test_weyl_eigendata_needs_integral_dimensions():
+    # a half-dimensional component counts only when its count makes it whole
+    half = TruncatedSeries(0, [Fraction(1, 2)])
+    assert weyl_eigendata([(half, 1, 1, 2)], 0) == (1, 0, 0)
+    assert weyl_eigendata([(half, 2, 1, 4)], 0) == (2, 2, 0)
+    with pytest.raises(ValueError):
+        weyl_eigendata([(half, 1, 1, 1)], 0)
+    with pytest.raises(ValueError):
+        weyl_eigendata([(half, 1, 1, 3)], 0)
+
+
 # ---------------------------------------------------------------------------
 # The circle presentation.
 

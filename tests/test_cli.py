@@ -336,6 +336,24 @@ def test_value_errors_are_usage_errors(capsys, tmp_path):
     assert not missing.parent.exists()
 
 
+HUGE = str(10 ** 15)
+
+
+@pytest.mark.parametrize("argv", [
+    ["stems", "--n", HUGE, "--degree", "1"],
+    ["burnside", "--n", HUGE],
+    ["stems", "--n", "3", "--scan", HUGE],
+    ["sphere", "--n", HUGE, "--rep", "sigma"],
+    ["point-presentation", "--n", HUGE],
+], ids=["stems-degree", "burnside", "stems-scan", "sphere", "point-presentation"])
+def test_oversized_inputs_are_usage_errors(capsys, argv):
+    # the first table of each asks for petabytes, which fails at once
+    # without using memory; a smaller huge size could really allocate
+    status, lines, err = run_lines(capsys, argv)
+    assert (status, lines) == (2, [])
+    assert err == "error: input too large: out of memory\n"
+
+
 def test_argparse_failures(capsys):
     assert cli.run(["bogus"]) == 2
     capsys.readouterr()
@@ -620,6 +638,33 @@ def test_shared_stem_cache_is_bounded_and_validates():
     after = make.cache_info()
     assert (after.hits, after.misses, after.currsize) == \
         (before.hits, before.misses + 2, before.currsize)
+
+
+@pytest.mark.parametrize("helper", ["_closed_class", "_sector_class"])
+def test_keyed_class_caches_are_bounded(helper):
+    maxsize = getattr(stems, helper).cache_parameters()["maxsize"]
+    assert isinstance(maxsize, int) and maxsize > 0
+
+
+def test_oracle_column_is_read_only():
+    column = stems.oracle_column(2, 1, (-1,))
+    want = dict(column)
+    assert want
+    d = next(iter(want))
+    with pytest.raises(TypeError):
+        column[d] = MackeyClass.zero(2)
+    with pytest.raises(TypeError):
+        del column[d]
+    with pytest.raises(AttributeError):
+        column.clear()
+    assert stems.oracle_column(2, 1, (-1,)) == want
+    assert stems.stem_at_oracle(VirtualRep(2, d, 1, (-1,))) is want[d]
+
+
+def test_sphere_table_cache_holds_a_heavy_round():
+    # a heavy benchmark round reads 3,324 distinct sphere tables
+    maxsize = stems._smash_table.cache_parameters()["maxsize"]
+    assert isinstance(maxsize, int) and maxsize >= 3324
 
 
 def test_negative_control_still_catches_a_zeroed_sector():

@@ -6,10 +6,15 @@ plus two legal degrees whose integers pass the interpreter's 4300-digit
 str limit.  Whatever the input, ``cli.run`` returns 0 or 2 and raises
 nothing: exit 1 is kept for a failed mathematical check, which the real
 methods never give (the corrupted-method goldens pin that path).
+
+A second property draws legal degrees at large n, up to 2000, and
+requires ``stems --degree`` to answer with all three methods agreeing
+and ``sphere --rep`` to answer, each within a few seconds.
 """
 
 import contextlib
 import io
+from datetime import timedelta
 
 from hypothesis import given, settings, strategies as st
 
@@ -70,3 +75,40 @@ def test_exit_code_is_0_or_2(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         status = cli.run(argv)
     assert status in (0, 2), argv
+
+
+def large_degree(n):
+    """(n, degree text): up to four terms k*sigma or k*l{j}, j < n-1, and a
+    constant, either drawn or the one that puts the degree on the bottom
+    sector's lattice d = -s - 2*sum(c), where the stem is nonzero."""
+    names = st.just("sigma")
+    if n > 1:
+        names = st.one_of(names, st.integers(0, n - 2).map(lambda j: f"l{j}"))
+    terms = st.lists(st.tuples(st.integers(-9, 9), names), max_size=4)
+    return st.tuples(st.just(n), terms, st.one_of(st.none(), st.integers(-20, 20)))
+
+
+def degree_text(terms):
+    # the grammar takes a sign between terms, not a signed coefficient
+    text = " + ".join(f"{k}*{name}" if name else str(k) for k, name in terms)
+    return text.replace("+ -", "- ")
+
+
+def run_quietly(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        status = cli.run(argv)
+    return status, out.getvalue()
+
+
+@settings(max_examples=50, deadline=timedelta(seconds=3))
+@given(st.integers(min_value=1, max_value=2000).flatmap(large_degree))
+def test_methods_agree_at_large_n(case):
+    n, terms, constant = case
+    if constant is None:
+        constant = -sum(k * (1 if name == "sigma" else 2) for k, name in terms)
+    text = degree_text([(constant, "")] + terms)
+    status, out = run_quietly(["stems", "--n", str(n), "--degree=" + text])
+    assert status == 0 and out.rstrip("\n").endswith(" | agree=yes"), (n, text)
+    status, _ = run_quietly(["sphere", "--n", str(n), "--rep=" + text])
+    assert status == 0, (n, text)

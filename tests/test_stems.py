@@ -376,7 +376,9 @@ def test_mixed_degree_kunneth():
 
 def test_oracle_answers_large_powers():
     # one geometric table per generator power: a cold degree adds at most
-    # n sphere tables, however large its coefficients
+    # n sphere tables, however large its coefficients.  Emptied first,
+    # since a full bounded cache does not grow
+    stems._smash_table.cache_clear()
     for n in (1, 2, 3, 4):
         v = VirtualRep(n, 3, 7919, tuple(range(-4001, -4001 + 2 * (n - 1), 2)))
         before = stems._smash_table.cache_info().currsize
@@ -393,7 +395,9 @@ def stack_depth():
 
 def test_long_rotation_chain_needs_no_recursion():
     # 120 nonzero rotation powers, with about 60 frames of headroom: the
-    # table folds them in a loop and caches every prefix on the way
+    # table folds them in a loop and caches every prefix on the way.
+    # Emptied first, since a full bounded cache does not grow
+    stems._smash_table.cache_clear()
     n = 121
     c = tuple(k % 3 - 1 or 2 for k in range(n - 1))
     v = VirtualRep(n, 0, 1, c)
