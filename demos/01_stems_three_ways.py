@@ -12,21 +12,25 @@ homology assembled from fixed-point geometry.  This script shows the
 three agreeing and walks through the interesting degrees.
 """
 
+from ratstems.mackey import MackeyClass
 from ratstems.rolattice import parse_degree
 from ratstems.stems import STEM_METHODS, decode_degree, sphere_homology, stem_at
 
 n = 2  # work with the cyclic group of order 4 throughout
 
 # -- landmark degrees ---------------------------------------------------------
-# Written exactly the way the CLI accepts them.  Every method must
-# return the same class; we print the shared answer.
+# Written exactly the way the CLI accepts them.  Each method answers a
+# whole column: the nonzero stems of every degree d + s*sigma + ... that
+# shares the degree's s and rotation coefficients, keyed by d.  Every
+# method must return the same class; we print the shared answer.
 
 landmarks = ["0", "1 - sigma", "2*sigma - 2", "-sigma", "2 - l0", "-l0", "l0", "3"]
 
 print(f"stems for the cyclic group of order {2 ** n}")
 for text in landmarks:
     v = parse_degree(text, n)
-    results = {name: fn(v) for name, fn in STEM_METHODS.items()}
+    results = {name: column(n, v.s, v.c).get(v.d, MackeyClass.zero(n))
+               for name, column in STEM_METHODS.items()}
     assert len(set(results.values())) == 1, f"methods disagree at {v}"
     print(f"  {text:>12}  ->  {results['closed']}")
 

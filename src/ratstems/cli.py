@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import sys
 from fractions import Fraction
@@ -47,32 +46,28 @@ def _agree(results: Mapping[str, Any]) -> bool:
     return values.count(values[0]) == len(values)
 
 
-def compare_methods(n: int, bound: int,
-                    methods: Mapping[str, Callable[[VirtualRep], MackeyClass]] | None = None,
+Column = Callable[[int, int, tuple[int, ...]], Mapping[int, MackeyClass]]
+
+
+def compare_methods(n: int, bound: int, methods: Mapping[str, Column] | None = None,
                     ) -> tuple[int, list[tuple[VirtualRep, dict[str, MackeyClass]]]]:
     """Evaluate every stem method over the coordinate box and collect
     the degrees where they disagree, ordered by d, then s, then c.
 
-    The walk is column-major: per (s, c), a built-in method lists the
-    nonzero d of the column through the ``column`` function behind it
-    (found through ``__wrapped__``).  A column whose methods return
-    equal dicts is accepted whole; otherwise the methods are compared
-    at each d of the window where one of them is nonzero.  ``methods``
-    may replace the default table, as the negative controls do; a
-    method without a column is evaluated per degree, so a replacement
-    must be a new function, not a ``__wrapped__`` wrapper of a
-    built-in."""
+    A method is a column function (n, s, c) -> {d: stem at its nonzero
+    d}, and the walk is column-major: each method answers each (s, c)
+    once.  A column whose methods return equal mappings is accepted
+    whole; otherwise the methods are compared at each d of the window
+    where one of them is nonzero.  ``methods`` may replace the default
+    table, as the negative controls do."""
     table = dict(STEM_METHODS if methods is None else methods)
     if not table:
         raise ValueError("need at least one method")
-    columns = {name: getattr(inspect.unwrap(fn), "column", None) for name, fn in table.items()}
     window = range(-bound, bound + 1)
     zero = MackeyClass.zero(n)
     disagreements = []
     for s, c in box_columns(n, bound):
-        answers = {name: column(n, s, c) if column else
-                   {d: table[name](VirtualRep(n, d, s, c)) for d in window}
-                   for name, column in columns.items()}
+        answers = {name: column(n, s, c) for name, column in table.items()}
         if _agree(answers):
             continue
         for d in sorted({d for found in answers.values() for d in found if d in window}):
@@ -216,7 +211,7 @@ def _check_collapse(s_max: int) -> str | None:
 
 def _check_negative_control() -> str | None:
     broken = dict(STEM_METHODS)
-    broken["sector"] = lambda v: MackeyClass.zero(v.n)
+    broken["sector"] = lambda n, s, c: {}
     _, bad = compare_methods(1, 1, broken)
     if not bad:
         return "a corrupted method went undetected"
@@ -265,7 +260,9 @@ def cmd_stems(args: argparse.Namespace) -> tuple[list[dict], int]:
 
     if args.degree is not None:
         v = parse_degree(args.degree, args.n)
-        rec = record(v, {name: fn(v) for name, fn in table.items()})
+        zero = MackeyClass.zero(v.n)
+        rec = record(v, {name: column(v.n, v.s, v.c).get(v.d, zero)
+                         for name, column in table.items()})
         return [rec], 0 if rec["agree"] else 1
     checked, bad = compare_methods(args.n, args.scan, table)
     records = [record(v, results) for v, results in bad]

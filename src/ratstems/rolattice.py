@@ -179,7 +179,8 @@ class DegreeSyntaxError(ValueError):
         self.col = col
 
 
-_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*(),]|\s+|.")
+# ASCII digits only: \d and str.isdecimal also take other scripts' digits
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*(),]|\s+|.")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
@@ -195,7 +196,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
                 else:
                     col += 1
             continue
-        if lexeme.isdecimal():
+        if lexeme.isascii() and lexeme.isdecimal():
             kind = "int"
         elif lexeme[0].isalpha() or lexeme[0] == "_":
             kind = "name"
@@ -290,7 +291,7 @@ class _DegreeParser:
                 return _rotation(self.n, s, m)
             except ValueError as exc:
                 raise DegreeSyntaxError(str(exc), line, col) from exc
-        if re.fullmatch(r"l\d+", lexeme):
+        if re.fullmatch(r"l[0-9]+", lexeme):
             k = self.number(lexeme[1:], line, col)
             if k > self.n - 2:
                 raise DegreeSyntaxError(f"l{k} needs n >= {k + 2}", line, col)

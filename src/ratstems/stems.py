@@ -2,28 +2,29 @@
 
 For G = C_{2^n} the rational G-equivariant stable stem in a virtual
 degree V is a finite direct sum of simple Mackey functors M_i^(+-).
-This module computes that sum by three independent routes:
+This module computes that sum by three independent routes.  Each route
+is one function of a d-column (n, s, c), the degrees that differ only
+in d, listing the column's nonzero stems by d:
 
-* ``stem_at`` decodes the degree into an integer tuple t =
-  (j_0..j_{n-1}, j'_0..j'_{n-1}) whose entries split at a cut position
-  (restrictions before the cut, order-vanishing after it) and reads the
-  answer off the tuple: the summands are M_i for k'(t) < i <= k(t),
-  signed by the parity of j_{n-1}.
-* ``stem_at_sector`` tests, sector by sector, the lattice membership
+* ``closed_column`` reads the answer off the integer tuples t =
+  (j_0..j_{n-1}, j'_0..j'_{n-1}) that decompose a degree, whose entries
+  split at a cut position (restrictions before the cut, order-vanishing
+  after it): the summands are M_i for k'(t) < i <= k(t), signed by the
+  parity of j_{n-1}.  One O(n) cut walk finds the runs of the whole
+  column without building the tuples (``decode_degree`` builds them).
+* ``sector_column`` tests, sector by sector, the lattice membership
   equations of the monomial model of the point: sector i < n occupies
   the degrees with d = -s - 2*(c_i + ... + c_{n-2}), sector n the
   degrees with d = 0; the sign is the parity of the u_sigma exponent.
-* ``stem_at_oracle`` computes the Bredon homology of an actual (virtual)
+* ``oracle_column`` computes the Bredon homology of an actual (virtual)
   representation sphere from geometry: each power e*w of one
   irreducible w contributes one simple M_h per subgroup level h, placed
   in the dimension of its fixed sphere and signed by the Weyl action on
   that sphere's orientation, and the powers of distinct generators
-  combine by the degreewise box product.
+  combine by the degreewise box product.  The column is one table.
 
-Each route is one function of a d-column (n, s, c), the degrees that
-differ only in d, listing the column's nonzero stems: ``closed_column``
-and ``sector_column`` in one O(n) pass, ``oracle_column`` as one sphere
-table.  The per-degree functions read one d off their column.
+``STEM_METHODS`` names the three columns; ``stem_at`` reads one degree
+off the closed column.
 
 The module also carries the monomial model itself (``SectorElement``,
 ``SectorMonomial``), a structured generators-and-relations presentation
@@ -264,25 +265,10 @@ def stem_at(v: VirtualRep) -> MackeyClass:
     return closed_column(v.n, v.s, v.c).get(v.d, MackeyClass.zero(v.n))
 
 
-def stem_at_sector(v: VirtualRep) -> MackeyClass:
-    """The stem at degree v, by sector membership (``sector_column``)."""
-    return sector_column(v.n, v.s, v.c).get(v.d, MackeyClass.zero(v.n))
-
-
-def stem_at_oracle(v: VirtualRep) -> MackeyClass:
-    """The stem at degree v, read off sphere homology (``oracle_column``)."""
-    return oracle_column(v.n, v.s, v.c).get(v.d, MackeyClass.zero(v.n))
-
-
-# each method's one implementation; compare_methods reads it from here
-stem_at.column = closed_column
-stem_at_sector.column = sector_column
-stem_at_oracle.column = oracle_column
-
 STEM_METHODS = {
-    "closed": stem_at,
-    "sector": stem_at_sector,
-    "oracle": stem_at_oracle,
+    "closed": closed_column,
+    "sector": sector_column,
+    "oracle": oracle_column,
 }
 
 

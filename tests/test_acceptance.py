@@ -21,8 +21,7 @@ from ratstems.mackey import (MINUS, PLUS, MackeyClass, NonSignIsotypicError,
                              classify)
 from ratstems.rolattice import VirtualRep
 from ratstems.series import TruncatedSeries
-from ratstems.stems import (lattice_mismatches, sphere_homology, stem_at,
-                            stem_at_oracle, stem_at_sector)
+from ratstems.stems import STEM_METHODS, lattice_mismatches, sphere_homology
 
 
 def _report(record, num, label, fn):
@@ -66,7 +65,8 @@ def test_criterion_1_three_way_agreement_with_anchors(criterion_report):
                 anchors.append((-lam,
                                 M(n, *((i, PLUS) for i in range(k + 1, n + 1)))))
             for v, want in anchors:
-                got = {stem_at(v), stem_at_sector(v), stem_at_oracle(v)}
+                got = {column(v.n, v.s, v.c).get(v.d, MackeyClass.zero(n))
+                       for column in STEM_METHODS.values()}
                 if got != {want}:
                     failures.append(f"anchor {v}: expected {want}, got {got}")
         elapsed = time.monotonic() - start
@@ -277,15 +277,14 @@ def test_criterion_9_two_point_report(criterion_report):
 def test_criterion_10_negative_controls(criterion_report):
     def body():
         failures = []
-        from ratstems.stems import STEM_METHODS
         corrupted = dict(STEM_METHODS)
-        corrupted["sector"] = lambda v: MackeyClass.zero(v.n)
+        corrupted["sector"] = lambda n, s, c: {}
         _, bad = compare_methods(1, 1, corrupted)
         if not bad:
             failures.append("corrupted method table not flagged")
         shifted = dict(STEM_METHODS)
-        shifted["closed"] = lambda v: STEM_METHODS["closed"](
-            v + VirtualRep.one(v.n, 2))
+        shifted["closed"] = lambda n, s, c: {
+            d - 2: cls for d, cls in STEM_METHODS["closed"](n, s, c).items()}
         _, bad = compare_methods(2, 2, shifted)
         if not bad:
             failures.append("degree-shifted method not flagged")

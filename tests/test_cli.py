@@ -16,7 +16,7 @@ from ratstems.burnside import BurnsideElement
 from ratstems.mackey import MackeyClass, NonSignIsotypicError
 from ratstems.rolattice import VirtualRep
 from ratstems.stems import SectorElement, TupleAmbiguityError
-from test_stems import box_degrees
+from test_stems import at, box_degrees
 
 
 def run_lines(capsys, argv):
@@ -64,8 +64,7 @@ def test_stems_single_method(capsys):
 
 
 def test_stems_scan_flags_corrupted_method(capsys, monkeypatch):
-    monkeypatch.setitem(cli.STEM_METHODS, "sector",
-                        lambda v: MackeyClass.zero(v.n))
+    monkeypatch.setitem(cli.STEM_METHODS, "sector", lambda n, s, c: {})
     status, lines, _ = run_lines(capsys, ["stems", "--n", "1", "--scan", "1"])
     assert status == 1
     assert lines[-1] == "n=1 | scanned=9 | disagreements=5"
@@ -75,7 +74,7 @@ def test_stems_scan_flags_corrupted_method(capsys, monkeypatch):
 
 
 def test_stems_ambiguity_maps_to_exit_1(capsys, monkeypatch):
-    def explode(v):
+    def explode(n, s, c):
         raise TupleAmbiguityError("overlapping runs")
     monkeypatch.setitem(cli.STEM_METHODS, "closed", explode)
     status, lines, err = run_lines(capsys, ["stems", "--n", "1", "--degree", "0"])
@@ -85,7 +84,7 @@ def test_stems_ambiguity_maps_to_exit_1(capsys, monkeypatch):
 
 
 def test_classifier_failure_maps_to_exit_1(capsys, monkeypatch):
-    def explode(v):
+    def explode(n, s, c):
         raise NonSignIsotypicError("non-sign-isotypic Weyl module encountered at level 1")
     monkeypatch.setitem(cli.STEM_METHODS, "oracle", explode)
     status, _, err = run_lines(capsys, ["stems", "--n", "1", "--degree", "0"])
@@ -460,7 +459,7 @@ def test_compare_methods_clean_and_injectable():
     checked, bad = cli.compare_methods(1, 1)
     assert (checked, bad) == (9, [])
     broken = dict(cli.STEM_METHODS)
-    broken["sector"] = lambda v: MackeyClass.zero(v.n)
+    broken["sector"] = lambda n, s, c: {}
     checked, bad = cli.compare_methods(1, 1, broken)
     assert checked == 9 and len(bad) == 5
     degrees = {str(v) for v, _ in bad}
@@ -473,11 +472,12 @@ def test_compare_methods_clean_and_injectable():
 # The column-major scan against a dense per-degree walk.
 
 def dense_compare(n, bound, methods):
-    """The reference scan: every method at every degree of the box, in
-    order of d, then s, then c."""
+    """The reference scan: every method at every degree of the box, one
+    degree read off a fresh column at a time, in order of d, then s,
+    then c."""
     checked, bad = 0, []
     for v in box_degrees(n, bound):
-        results = {name: fn(v) for name, fn in methods.items()}
+        results = {name: at(column, v) for name, column in methods.items()}
         checked += 1
         first = next(iter(results.values()))
         if any(cls != first for cls in results.values()):
@@ -486,8 +486,9 @@ def dense_compare(n, bound, methods):
 
 
 def transparent(fn):
-    def wrapper(v):
-        return fn(v)
+    """A forwarding wrapper shaped like a tracer's span."""
+    def wrapper(*args, **kwargs):
+        return fn(*args, **kwargs)
     wrapper.__wrapped__ = fn
     return wrapper
 
@@ -495,10 +496,10 @@ def transparent(fn):
 def method_table(kind):
     base = dict(stems.STEM_METHODS)
     if kind == "zeroed-sector":
-        base["sector"] = lambda v: MackeyClass.zero(v.n)
+        base["sector"] = lambda n, s, c: {}
     elif kind == "shifted-closed":
-        closed = base["closed"]
-        base["closed"] = lambda v: closed(v + VirtualRep.one(v.n, 2))
+        base["closed"] = lambda n, s, c: {
+            d - 2: cls for d, cls in stems.closed_column(n, s, c).items()}
     elif kind == "wrapped":
         base = {name: transparent(fn) for name, fn in base.items()}
     return base
@@ -517,39 +518,39 @@ def test_column_scan_matches_dense_walk(kind, n, bound):
     assert bool(bad) == (kind in ("zeroed-sector", "shifted-closed"))
 
 
-def test_injected_method_runs_once_per_degree():
+def test_injected_column_runs_once_per_column():
     seen = []
 
-    def zero(v):
-        seen.append(v)
-        return MackeyClass.zero(v.n)
+    def zero(n, s, c):
+        seen.append((s, c))
+        return {}
 
-    checked, bad = cli.compare_methods(2, 1, {"closed": stems.stem_at, "zero": zero})
-    assert sorted(map(str, seen)) == sorted(map(str, box_degrees(2, 1)))
-    assert len(seen) == checked == 27
+    checked, bad = cli.compare_methods(2, 1, {"closed": stems.closed_column, "zero": zero})
+    assert seen == list(stems.box_columns(2, 1))
+    assert len(seen) == 9 and checked == 27
     assert [v for v, _ in bad] == [v for v in box_degrees(2, 1)
                                    if not stems.stem_at(v).is_zero()]
 
 
-def test_wrapped_method_takes_the_column_path():
-    # a wrapper that leaves __wrapped__ (as a tracer does) is read
-    # through the built-in's column: one sphere-table lookup per column
+def test_wrapped_column_costs_one_lookup_per_column():
+    # a forwarding wrapper (as a tracer installs) is called once per
+    # column and reads one sphere table each time
     calls = []
 
-    def oracle(v):
-        calls.append(v)
-        return stems.stem_at_oracle(v)
+    def oracle(*args, **kwargs):
+        calls.append(args)
+        return stems.oracle_column(*args, **kwargs)
 
-    oracle.__wrapped__ = stems.stem_at_oracle
+    oracle.__wrapped__ = stems.oracle_column
     info = stems._smash_table.cache_info
-    cli.compare_methods(3, 2, {"oracle": stems.stem_at_oracle})  # warm
+    cli.compare_methods(3, 2, {"oracle": stems.oracle_column})  # warm
     lookups = []
-    for fn in (stems.stem_at_oracle, oracle):
+    for column in (stems.oracle_column, oracle):
         before = info()
-        cli.compare_methods(3, 2, {"oracle": fn})
+        cli.compare_methods(3, 2, {"oracle": column})
         after = info()
         lookups.append(after.hits + after.misses - before.hits - before.misses)
-    assert calls == []
+    assert calls == [(3, s, c) for s, c in stems.box_columns(3, 2)]
     assert lookups == [5 ** 3, 5 ** 3]
 
 
@@ -562,41 +563,48 @@ def test_each_method_stands_alone(name, monkeypatch, capsys):
     # with the other two methods' columns and the tuple decoder
     # replaced by stubs that raise, the method still answers a box scan
     # and a single degree, with its own values
-    fn = stems.STEM_METHODS[name]
-    frozen = {v: fn(v) for v in box_degrees(2, 2)}
+    column = stems.STEM_METHODS[name]
+    frozen = {(s, c): dict(column(2, s, c)) for s, c in stems.box_columns(2, 2)}
 
     def stub(*args):
         raise AssertionError(f"the {name} method called another method")
 
-    for other, column in COLUMN_NAMES.items():
+    for other, other_column in COLUMN_NAMES.items():
         if other != name:
-            monkeypatch.setattr(stems, column, stub)
-            monkeypatch.setattr(stems.STEM_METHODS[other], "column", stub)
+            monkeypatch.setattr(stems, other_column, stub)
+            monkeypatch.setitem(stems.STEM_METHODS, other, stub)
     monkeypatch.setattr(stems, "decode_degree", stub)
-    v = VirtualRep(2, 1, -1, (0,))
-    assert fn(v) == MackeyClass(2, ((0, -1, 1), (1, -1, 1)))
-    assert cli.compare_methods(2, 2, {name: fn, "frozen": frozen.__getitem__}) == (125, [])
+    assert column(2, -1, (0,))[1] == MackeyClass(2, ((0, -1, 1), (1, -1, 1)))
+    assert cli.compare_methods(2, 2, {name: column,
+                                      "frozen": lambda n, s, c: frozen[s, c]}) == (125, [])
     for argv in (["--scan", "2"], ["--degree", "1 - sigma"]):
         assert cli.run(["stems", "--n", "2", "--method", name, *argv]) == 0
     assert "agree=yes" in capsys.readouterr().out
+
+
+def test_no_command_calls_stem_at(monkeypatch):
+    # a tracer may rebind stems.stem_at to the traced closed column,
+    # which takes (n, s, c): so the program reads columns only
+    def stub(*args):
+        raise AssertionError("stem_at called")
+
+    monkeypatch.setattr(stems, "stem_at", stub)
+    for argv in (["stems", "--n", "2", "--degree", "1 - sigma"],
+                 ["stems", "--n", "2", "--scan", "2"], ["selftest"]):
+        assert cli.run(argv) == 0, argv
 
 
 # ---------------------------------------------------------------------------
 # Whole-column acceptance and the shared stem classes.
 
 def padded_closed(pad_d):
-    """The closed method with one extra M0 added at d = pad_d in every
-    column, as a column method of its own."""
+    """The closed column with one extra M0 added at d = pad_d."""
     def column(n, s, c):
         found = dict(stems.closed_column(n, s, c))
         found[pad_d] = found.get(pad_d, MackeyClass.zero(n)) + MackeyClass.simple(n, 0)
         return found
 
-    def method(v):
-        return column(v.n, v.s, v.c).get(v.d, MackeyClass.zero(v.n))
-
-    method.column = column
-    return method
+    return column
 
 
 @pytest.mark.parametrize("pad_d", [-3, 3, 10 ** 6])
@@ -658,7 +666,8 @@ def test_oracle_column_is_read_only():
     with pytest.raises(AttributeError):
         column.clear()
     assert stems.oracle_column(2, 1, (-1,)) == want
-    assert stems.stem_at_oracle(VirtualRep(2, d, 1, (-1,))) is want[d]
+    # served from the cached table, not copied
+    assert stems.oracle_column(2, 1, (-1,))[d] is want[d]
 
 
 def test_sphere_table_cache_holds_a_heavy_round():

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ratstems import cli
 from ratstems.rolattice import DegreeSyntaxError, VirtualRep, parse_degree
 
 
@@ -269,6 +270,14 @@ def test_parse_error_positions():
     with pytest.raises(DegreeSyntaxError) as exc:
         parse_degree("2²", 2)  # a digit character that int() rejects
     assert exc.value.col == 2
+
+    # integers are ASCII digits: other scripts' decimal digits, which
+    # int() would read, are syntax errors like any other character
+    for text, col in [("１", 1), ("٣", 1), ("lam(١, 2)", 5), ("l١", 2), ("²*sigma", 1)]:
+        with pytest.raises(DegreeSyntaxError) as exc:
+            parse_degree(text, 2)
+        assert exc.value.col == col, text
+        assert cli.run(["stems", "--n", "2", "--degree", text]) == 2
 
 
 def test_parse_name_errors():

@@ -19,17 +19,21 @@ from hypothesis import given, strategies as st
 from ratstems import stems
 from ratstems.mackey import MINUS, PLUS, MackeyClass
 from ratstems.rolattice import VirtualRep, parse_degree
-from ratstems.stems import (SectorElement, SectorMonomial, StemTuple,
-                            TupleAmbiguityError, decode_degree,
+from ratstems.stems import (STEM_METHODS, SectorElement, SectorMonomial,
+                            StemTuple, TupleAmbiguityError, decode_degree,
                             fixed_point_rings, lattice_mismatches,
                             point_presentation, sector_alphabet,
-                            sphere_homology, stem_at, stem_at_oracle,
-                            stem_at_sector)
+                            sphere_homology, stem_at)
 
 
 def M(n, *pairs):
     """Shorthand: M(n, (i, +1), (j, -1), ...) builds the direct sum."""
     return MackeyClass(n, tuple((i, s, 1) for i, s in pairs))
+
+
+def at(column, v):
+    """The stem at degree v, read off its column."""
+    return column(v.n, v.s, v.c).get(v.d, MackeyClass.zero(v.n))
 
 
 def box_degrees(n, bound):
@@ -78,11 +82,12 @@ def test_sphere_trivial_shift():
 # ---------------------------------------------------------------------------
 # Landmark stems, all three methods.
 
-ALL_METHODS = (stem_at, stem_at_sector, stem_at_oracle)
+COLUMNS = {"closed": stems.closed_column, "sector": stems.sector_column,
+           "oracle": stems.oracle_column}
 
 
 def stems_everywhere(v):
-    results = {fn(v) for fn in ALL_METHODS}
+    results = {at(column, v) for column in COLUMNS.values()}
     assert len(results) == 1, f"methods disagree at {v}"
     return results.pop()
 
@@ -237,7 +242,7 @@ def test_stem_at_is_linear_in_n_on_many_tuples():
     for n in range(41):
         v = alternating_degree(n)
         runs = tuple((i, t.sign(), 1) for t in decode_degree(v) for i in t.run())
-        assert stem_at(v) == MackeyClass(n, runs) == stem_at_sector(v), n
+        assert stem_at(v) == MackeyClass(n, runs) == at(stems.sector_column, v), n
     assert len(decode_degree(alternating_degree(40))) == 20
     # 10001 tuples of length 20001 each: the tuple view is quadratic
     # here, the closed column linear
@@ -246,27 +251,30 @@ def test_stem_at_is_linear_in_n_on_many_tuples():
     start = time.perf_counter()
     cls = stem_at(v)
     assert time.perf_counter() - start < 1.0
-    assert cls == M(n, *((i, PLUS) for i in [*range(0, n, 2), n])) == stem_at_sector(v)
+    assert cls == M(n, *((i, PLUS) for i in [*range(0, n, 2), n])) == at(stems.sector_column, v)
 
 
 # ---------------------------------------------------------------------------
 # Columns: each method answers a whole d-column (n, s, c) at once.
 
-COLUMNS = [(stem_at, stems.closed_column), (stem_at_sector, stems.sector_column),
-           (stem_at_oracle, stems.oracle_column)]
+def ref_stem(v):
+    """The stem at v as the sum of the reference decoder's runs."""
+    return MackeyClass(v.n, tuple((i, t.sign(), 1)
+                                  for t in ref_decode_degree(v) for i in t.run()))
 
 
-@pytest.mark.parametrize("fn,column", COLUMNS, ids=["closed", "sector", "oracle"])
+@pytest.mark.parametrize("name", sorted(COLUMNS))
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
-def test_column_matches_per_degree(fn, column, n):
-    assert fn.column is column
+def test_column_matches_per_degree(name, n):
+    column = COLUMNS[name]
+    assert STEM_METHODS[name] is column
     for bound in (0, 1, 2):
         window = range(-bound, bound + 1)
         for s, c in stems.box_columns(n, bound):
             found = column(n, s, c)
             assert len(found) <= n + 1
             assert not any(cls.is_zero() for cls in found.values())
-            per_degree = {d: fn(VirtualRep(n, d, s, c)) for d in window}
+            per_degree = {d: ref_stem(VirtualRep(n, d, s, c)) for d in window}
             assert {d: cls for d, cls in found.items() if d in window} == \
                 {d: cls for d, cls in per_degree.items() if not cls.is_zero()}, (s, c)
 
@@ -310,9 +318,7 @@ def test_closed_column_matches_reference_decoder():
         coords = [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)]
         s, c = (coords[-1], tuple(coords[:-1])) if n else (0, ())
         for d, cls in stems.closed_column(n, s, c).items():
-            tuples = ref_decode_degree(VirtualRep(n, d, s, c))
-            assert cls == MackeyClass(n, tuple((i, t.sign(), 1)
-                                               for t in tuples for i in t.run()))
+            assert cls == ref_stem(VirtualRep(n, d, s, c))
         for d in range(-8, 9):
             v = VirtualRep(n, d, s, c)
             assert bool(ref_decode_degree(v)) == (d in stems.closed_column(n, s, c))
@@ -360,7 +366,7 @@ def test_level_recursion(v):
 
 @given(degree_strategy())
 def test_oracle_equals_closed_form(v):
-    assert stem_at(v) == stem_at_oracle(v) == stem_at_sector(v)
+    assert stem_at(v) == at(stems.oracle_column, v) == at(stems.sector_column, v)
 
 
 def test_mixed_degree_kunneth():
@@ -382,7 +388,7 @@ def test_oracle_answers_large_powers():
     for n in (1, 2, 3, 4):
         v = VirtualRep(n, 3, 7919, tuple(range(-4001, -4001 + 2 * (n - 1), 2)))
         before = stems._smash_table.cache_info().currsize
-        assert stem_at_oracle(v) == stem_at(v)
+        assert at(stems.oracle_column, v) == stem_at(v)
         assert stems._smash_table.cache_info().currsize - before <= n
 
 
@@ -414,7 +420,7 @@ def test_long_rotation_chain_needs_no_recursion():
     after = stems._smash_table.cache_info()
     assert table == want
     assert after.misses - before.misses == after.currsize - before.currsize == n
-    assert stem_at_oracle(-v) == stem_at(-v)
+    assert at(stems.oracle_column, -v) == stem_at(-v)
 
 
 def test_three_methods_agree_at_large_n():
