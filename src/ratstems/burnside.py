@@ -19,44 +19,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Sequence
 
 
 @dataclass(frozen=True)
-class GroupLevel:
-    """A subgroup C_{2^i} of the ambient group C_{2^n}."""
+class BurnsideElement:
+    """An element of A_Q(C_{2^i}) at the subgroup C_{2^i} of the ambient
+    group C_{2^n}; coeffs[0] multiplies 1, coeffs[1+j] multiplies x[i,j]."""
 
     n: int
     i: int
+    coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("ambient exponent n must be >= 1")
         if not 0 <= self.i <= self.n:
             raise ValueError(f"level {self.i} outside 0..{self.n}")
-
-
-@dataclass(frozen=True)
-class BurnsideElement:
-    """An element of A_Q(C_{2^i}); coeffs[0] multiplies 1, coeffs[1+j]
-    multiplies x[i,j]."""
-
-    level: GroupLevel
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
         cs = tuple(Fraction(q) for q in self.coeffs)
-        if len(cs) != self.level.i + 1:
-            raise ValueError(f"expected {self.level.i + 1} coefficients at level {self.level.i}")
+        if len(cs) != self.i + 1:
+            raise ValueError(f"expected {self.i + 1} coefficients at level {self.i}")
         object.__setattr__(self, "coeffs", cs)
 
     @classmethod
     def zero(cls, n: int, i: int) -> "BurnsideElement":
-        return cls(GroupLevel(n, i), (Fraction(0),) * (i + 1))
+        return cls(n, i, (Fraction(0),) * (i + 1))
 
     @classmethod
     def one(cls, n: int, i: int) -> "BurnsideElement":
-        return cls(GroupLevel(n, i), (Fraction(1),) + (Fraction(0),) * i)
+        return cls(n, i, (Fraction(1),) + (Fraction(0),) * i)
 
     @classmethod
     def x(cls, n: int, i: int, j: int) -> "BurnsideElement":
@@ -64,7 +56,7 @@ class BurnsideElement:
             raise ValueError(f"x[{i},{j}] needs 0 <= j < i")
         cs = [Fraction(0)] * (i + 1)
         cs[1 + j] = Fraction(1)
-        return cls(GroupLevel(n, i), tuple(cs))
+        return cls(n, i, tuple(cs))
 
     @classmethod
     def y(cls, n: int, i: int) -> "BurnsideElement":
@@ -77,24 +69,24 @@ class BurnsideElement:
     def _assert_same(self, other: "BurnsideElement") -> None:
         if not isinstance(other, BurnsideElement):
             raise TypeError("expected a BurnsideElement")
-        if other.level != self.level:
+        if (other.n, other.i) != (self.n, self.i):
             raise ValueError("elements live at different levels")
 
     def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
         self._assert_same(other)
-        return BurnsideElement(self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return BurnsideElement(self.n, self.i, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "BurnsideElement") -> "BurnsideElement":
         self._assert_same(other)
-        return BurnsideElement(self.level, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return BurnsideElement(self.n, self.i, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def scale(self, q: Fraction | int) -> "BurnsideElement":
         q = Fraction(q)
-        return BurnsideElement(self.level, tuple(q * a for a in self.coeffs))
+        return BurnsideElement(self.n, self.i, tuple(q * a for a in self.coeffs))
 
     def __mul__(self, other: "BurnsideElement") -> "BurnsideElement":
         self._assert_same(other)
-        i = self.level.i
+        i = self.i
         out = [Fraction(0)] * (i + 1)
         for a_idx, a in enumerate(self.coeffs):
             if a == 0:
@@ -110,7 +102,7 @@ class BurnsideElement:
                 else:
                     j, k = a_idx - 1, b_idx - 1
                     out[1 + min(j, k)] += q * 2 ** (i - max(j, k))
-        return BurnsideElement(self.level, tuple(out))
+        return BurnsideElement(self.n, self.i, tuple(out))
 
     def marks(self) -> tuple[Fraction, ...]:
         """Fixed-point counts over the levels h = 0..i.
@@ -118,7 +110,7 @@ class BurnsideElement:
         The unit has one fixed point everywhere; x[i,j] has 2^(i-j)
         fixed points at levels h <= j and none above.
         """
-        i = self.level.i
+        i = self.i
         out = []
         for h in range(i + 1):
             m = self.coeffs[0]
@@ -129,26 +121,26 @@ class BurnsideElement:
 
     def res(self, i2: int) -> "BurnsideElement":
         """Restriction to level i2 <= i, defined by truncating marks."""
-        if not 0 <= i2 <= self.level.i:
-            raise ValueError(f"cannot restrict level {self.level.i} to {i2}")
-        return from_marks(self.level.n, i2, self.marks()[: i2 + 1])
+        if not 0 <= i2 <= self.i:
+            raise ValueError(f"cannot restrict level {self.i} to {i2}")
+        return from_marks(self.n, i2, self.marks()[: i2 + 1])
 
     def tr(self) -> "BurnsideElement":
         """Transfer one level up: tr(1) = x[i+1,i], tr(x[i,j]) = x[i+1,j]."""
-        i = self.level.i
-        if i >= self.level.n:
+        i = self.i
+        if i >= self.n:
             raise ValueError("cannot transfer above the ambient group")
         out = [Fraction(0)] * (i + 2)
         out[1 + i] = self.coeffs[0]
         for j in range(i):
             out[1 + j] += self.coeffs[1 + j]
-        return BurnsideElement(GroupLevel(self.level.n, i + 1), tuple(out))
+        return BurnsideElement(self.n, i + 1, tuple(out))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
 
     def __str__(self) -> str:
-        i = self.level.i
+        i = self.i
         parts = []
         if self.coeffs[0] != 0:
             parts.append(f"{self.coeffs[0]}*1")
@@ -160,7 +152,7 @@ class BurnsideElement:
 
     def to_record(self) -> dict:
         return {
-            "level": {"n": self.level.n, "i": self.level.i},
+            "level": {"n": self.n, "i": self.i},
             "coeffs": [str(q) for q in self.coeffs],
         }
 
@@ -182,7 +174,7 @@ def from_marks(n: int, i: int, marks: Sequence[Fraction | int]) -> BurnsideEleme
         for j in range(h + 1, i):
             acc -= coeffs[1 + j] * 2 ** (i - j)
         coeffs[1 + h] = acc / 2 ** (i - h)
-    return BurnsideElement(GroupLevel(n, i), tuple(coeffs))
+    return BurnsideElement(n, i, tuple(coeffs))
 
 
 def idempotents(n: int, i: int) -> list[BurnsideElement]:

@@ -425,9 +425,8 @@ def bsigma2_consistency(n: int, bound: int = 6) -> SigmaTwoComparison:
     quotient = GradedTable.from_dict(n, {0: circle.get(0)})
     diffs = []
     for d in sorted(set(assembled.degrees()) | set(quotient.degrees())):
-        for h in range(n + 1):
-            da = assembled.get(d).level_dim(h)
-            dq = quotient.get(d).level_dim(h)
+        dims = zip(assembled.get(d).level_dims(), quotient.get(d).level_dims())
+        for h, (da, dq) in enumerate(dims):
             if da != dq:
                 diffs.append((d, h, da, dq))
     return SigmaTwoComparison(n, assembled, quotient, tuple(diffs))

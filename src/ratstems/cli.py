@@ -460,12 +460,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="text rows (default) or one JSON record per row")
     common.add_argument("--out", metavar="PATH",
                         help="also write the output to this file")
+    needs_n = argparse.ArgumentParser(add_help=False)
+    needs_n.add_argument("--n", type=int, required=True, help="group exponent")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stems", parents=[common],
+    p = sub.add_parser("stems", parents=[common, needs_n],
                        help="compute one stem, or scan a coordinate box, "
                             "cross-checking all methods")
-    p.add_argument("--n", type=int, required=True, help="group exponent")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--degree", help='virtual degree, e.g. "1 - 1*sigma"')
     mode.add_argument("--scan", type=int, metavar="BOUND",
@@ -473,40 +474,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=sorted(STEM_METHODS),
                    help="use a single method (default: run and compare all)")
 
-    p = sub.add_parser("sphere", parents=[common],
+    p = sub.add_parser("sphere", parents=[common, needs_n],
                        help="homology table of a virtual representation sphere")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--rep", required=True,
                    help='virtual representation, e.g. "2*sigma - l0"')
 
-    p = sub.add_parser("point-presentation", parents=[common],
+    p = sub.add_parser("point-presentation", parents=[common, needs_n],
                        help="generators and relations of the point ring")
-    p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("burnside", parents=[common],
+    p = sub.add_parser("burnside", parents=[common, needs_n],
                        help="basis, marks and idempotents of one Burnside level")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--level", type=int, help="subgroup level (default: top)")
 
-    p = sub.add_parser("bgs1", parents=[common],
+    p = sub.add_parser("bgs1", parents=[common, needs_n],
                        help="circle classifying space: presentation and table")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--maxdeg", type=int, default=20, help="top cohomological degree")
 
-    p = sub.add_parser("bgsigma2", parents=[common],
+    p = sub.add_parser("bgsigma2", parents=[common, needs_n],
                        help="Sigma_2 classifying space: assembled table")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--maxdeg", type=int, default=6)
 
-    p = sub.add_parser("bgu", parents=[common],
+    p = sub.add_parser("bgu", parents=[common, needs_n],
                        help="U(m) classifying space: fixed-point diagram")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=1, help="unitary group size")
     p.add_argument("--maxdeg", type=int, default=20)
 
-    p = sub.add_parser("torus-check", parents=[common],
+    p = sub.add_parser("torus-check", parents=[common, needs_n],
                        help="maximal-torus comparison for U(m) or SU(2)")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--lie", choices=["um", "su2"], required=True)
     p.add_argument("--m", type=int, default=2, help="unitary group size (lie=um)")
     p.add_argument("--maxdeg", type=int, default=20)
@@ -514,12 +508,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default="trivial", dest="su2_torus_action",
                    help="treatment of the Weyl involution on torus components")
 
-    p = sub.add_parser("consistency", parents=[common],
+    # one choice only, but every records line carries "target": "bsigma2";
+    # a parent ahead of --n, so a usage error names it first
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("target", choices=["bsigma2"], help="which comparison to run")
+    p = sub.add_parser("consistency", parents=[common, target, needs_n],
                        help="compare two candidate answers for one space")
-    # one choice only, but every records line carries "target": "bsigma2"
-    p.add_argument("target", choices=["bsigma2"],
-                   help="which comparison to run")
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--maxdeg", type=int, default=6)
 
     p = sub.add_parser("selftest", parents=[common],

@@ -20,7 +20,6 @@ the third slot is always zero; a nonzero value is a hard error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from typing import Mapping, Sequence
 
@@ -117,21 +116,10 @@ class MackeyClass:
         return MackeyClass(self.n, tuple(out))
 
     def level_dim(self, h: int) -> int:
-        """Dimension of the value at the orbit G/C_{2^h}.
-
-        M_i^+ contributes 1 at levels h >= i; M_i^- contributes 1 at
-        levels i <= h <= n-1 and vanishes at the top.
-        """
+        """Dimension of the value at the orbit G/C_{2^h}."""
         if not 0 <= h <= self.n:
             raise ValueError(f"level {h} outside 0..{self.n}")
-        dim = 0
-        for i, sign, mult in self.entries:
-            if h < i:
-                continue
-            if sign == MINUS and h == self.n:
-                continue
-            dim += mult
-        return dim
+        return self.level_dims()[h]
 
     def level_dims(self) -> tuple[int, ...]:
         """All n+1 level dimensions in one cumulative pass: M_i^+ adds 1
@@ -209,14 +197,12 @@ class GradedTable:
             if cls.entries:
                 normal.append((degree, cls))
         object.__setattr__(self, "entries", tuple(normal))
+        # not a field: a table's identity is its entries
+        object.__setattr__(self, "_by_degree", dict(normal))
 
     @classmethod
     def from_dict(cls, n: int, classes: Mapping[int, MackeyClass]) -> "GradedTable":
         return cls(n, tuple(classes.items()))
-
-    @cached_property
-    def _by_degree(self) -> dict[int, MackeyClass]:
-        return dict(self.entries)
 
     def get(self, degree: int) -> MackeyClass:
         cls = self._by_degree.get(degree)

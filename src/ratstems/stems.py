@@ -45,6 +45,11 @@ from typing import Iterable, Iterator, Mapping
 from .mackey import MINUS, PLUS, GradedTable, MackeyClass
 from .rolattice import VirtualRep
 
+# The bound of both sphere-table caches.  A box scan reads each column's table
+# once and reuses only prefixes built a few columns before; neither workload
+# evicts (a heavy round reads 3,324 smash and 96 power tables, a light 985 and 794).
+_SPHERE_TABLES = 4096
+
 
 class TupleAmbiguityError(RuntimeError):
     """The tuple decoder produced two decompositions that overlap.
@@ -186,7 +191,7 @@ def sector_column(n: int, s: int, c: tuple[int, ...]) -> dict[int, MackeyClass]:
     return {d: _sector_class(n, odd, tuple(sectors)) for d, sectors in found.items()}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SPHERE_TABLES)
 def _power_sphere_table(n: int, kind: str, k: int, e: int) -> GradedTable:
     """Homology table of S^(e*w) for one irreducible w (sigma or l_k),
     read off fixed-point geometry: level h gives one M_h in the degree
@@ -215,11 +220,7 @@ class _Prefix(tuple):
     below: GradedTable
 
 
-# Bounded so that a large box scan does not keep every column's table:
-# the scan reads each column's table once, and the prefixes it reuses
-# were built a few columns before.  4096 holds all 3,324 distinct tables
-# of a heavy benchmark round, so no workload there evicts.
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=_SPHERE_TABLES)
 def _smash_table(n: int, s: int, c: tuple[int, ...]) -> GradedTable:
     """Homology table of the virtual sphere S^(s*sigma + sum c_k*l_k):
     the last nonzero rotation power is boxed onto the table of the rest,
@@ -363,10 +364,6 @@ class SectorMonomial:
         return "*".join(parts) if parts else "1"
 
 
-def _sector_sign(v: VirtualRep, i: int) -> int:
-    return MINUS if (i < v.n and v.s % 2 != 0) else PLUS
-
-
 def _sector_alive(v: VirtualRep, i: int, level: int) -> bool:
     """Whether the sector-i line of degree v has a nonzero value at the
     given level: the degree must lie in the sector's lattice, the level
@@ -375,7 +372,7 @@ def _sector_alive(v: VirtualRep, i: int, level: int) -> bool:
         return False
     if v.fixed_dim(i) != 0:
         return False
-    if _sector_sign(v, i) == MINUS and level == v.n:
+    if v.fixed_sign(i) == MINUS and level == v.n:
         return False
     return True
 

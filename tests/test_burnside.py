@@ -13,8 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ratstems.burnside import (BurnsideElement, GroupLevel, from_marks,
-                               idempotents)
+from ratstems.burnside import BurnsideElement, from_marks, idempotents
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +155,12 @@ def test_transfer_identities_on_the_nose():
 def elements(n: int, i: int):
     coeff = st.fractions(min_value=-4, max_value=4, max_denominator=8)
     return st.lists(coeff, min_size=i + 1, max_size=i + 1).map(
-        lambda cs: BurnsideElement(GroupLevel(n, i), tuple(cs)))
+        lambda cs: BurnsideElement(n, i, tuple(cs)))
 
 
 @given(st.integers(min_value=0, max_value=4).flatmap(lambda i: elements(4, i)))
 def test_marks_round_trip(a):
-    assert from_marks(a.level.n, a.level.i, a.marks()) == a
+    assert from_marks(a.n, a.i, a.marks()) == a
 
 
 @given(st.integers(min_value=0, max_value=3).flatmap(
@@ -177,7 +176,7 @@ def test_marks_is_a_ring_map(pair):
     lambda i: st.tuples(elements(3, i), elements(3, i), elements(3, i))))
 def test_ring_axioms(triple):
     a, b, c = triple
-    one = BurnsideElement.one(a.level.n, a.level.i)
+    one = BurnsideElement.one(a.n, a.i)
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
@@ -215,7 +214,7 @@ def test_frobenius_and_projection(n):
 
 
 def test_record_round_trip():
-    a = BurnsideElement(GroupLevel(3, 2), (Fraction(1, 2), Fraction(-3), Fraction(0)))
+    a = BurnsideElement(3, 2, (Fraction(1, 2), Fraction(-3), Fraction(0)))
     assert a.to_record() == {"level": {"n": 3, "i": 2}, "coeffs": ["1/2", "-3", "0"]}
 
 
@@ -227,14 +226,14 @@ def test_str():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        GroupLevel(0, 0)
-    with pytest.raises(ValueError):
-        GroupLevel(2, 3)
+    with pytest.raises(ValueError, match="ambient exponent n must be >= 1"):
+        BurnsideElement(0, 0, (Fraction(1),))
+    with pytest.raises(ValueError, match=r"level 3 outside 0\.\.2"):
+        BurnsideElement(2, 3, (Fraction(1),) * 4)
     with pytest.raises(ValueError):
         BurnsideElement.x(3, 2, 2)
     with pytest.raises(ValueError):
-        BurnsideElement(GroupLevel(2, 1), (Fraction(1),))
+        BurnsideElement(2, 1, (Fraction(1),))
     with pytest.raises(ValueError):
         BurnsideElement.one(2, 2).tr()
     with pytest.raises(ValueError):

@@ -353,6 +353,29 @@ def test_oversized_inputs_are_usage_errors(capsys, argv):
     assert err == "error: input too large: out of memory\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["stems", "--degree", "1"], ["sphere", "--rep", "sigma"], ["point-presentation"],
+    ["burnside"], ["bgs1"], ["bgsigma2"], ["bgu"], ["torus-check", "--lie", "um"],
+    ["consistency", "bsigma2"],
+], ids=lambda argv: argv[0])
+def test_missing_n_is_a_usage_error(capsys, argv):
+    status, lines, err = run_lines(capsys, argv)
+    assert (status, lines) == (2, [])
+    assert err.endswith("error: the following arguments are required: --n\n")
+
+
+def test_consistency_names_missing_target_first(capsys):
+    status, lines, err = run_lines(capsys, ["consistency"])
+    assert (status, lines) == (2, [])
+    assert err.endswith("error: the following arguments are required: target, --n\n")
+
+
+def test_selftest_takes_no_n(capsys):
+    status, lines, err = run_lines(capsys, ["selftest", "--n", "1"])
+    assert (status, lines) == (2, [])
+    assert "unrecognized arguments: --n 1" in err
+
+
 def test_argparse_failures(capsys):
     assert cli.run(["bogus"]) == 2
     capsys.readouterr()
@@ -648,7 +671,8 @@ def test_shared_stem_cache_is_bounded_and_validates():
         (before.hits, before.misses + 2, before.currsize)
 
 
-@pytest.mark.parametrize("helper", ["_closed_class", "_sector_class"])
+@pytest.mark.parametrize("helper", ["_closed_class", "_sector_class",
+                                    "_power_sphere_table"])
 def test_keyed_class_caches_are_bounded(helper):
     maxsize = getattr(stems, helper).cache_parameters()["maxsize"]
     assert isinstance(maxsize, int) and maxsize > 0

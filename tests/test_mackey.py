@@ -35,6 +35,11 @@ def mackey_classes(n: int):
 @given(st.integers(min_value=1, max_value=4).flatmap(mackey_classes))
 def test_level_dims(cls):
     assert cls.level_dims() == tuple(oracle_level_dim(cls, h) for h in range(cls.n + 1))
+    for h in range(cls.n + 1):
+        assert cls.level_dim(h) == oracle_level_dim(cls, h)
+    for h in (-1, cls.n + 1):
+        with pytest.raises(ValueError):
+            cls.level_dim(h)
 
 
 def test_level_dim_goldens():
