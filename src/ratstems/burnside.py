@@ -1,9 +1,9 @@
 """Exact arithmetic in the rational Burnside rings of cyclic 2-groups.
 
 For a subgroup level i inside an ambient group C_{2^n}, the ring
-A_Q(C_{2^i}) has Q-basis the unit 1 = [C_{2^i}/C_{2^i}] together with
-the orbit classes x[i,j] = [C_{2^i}/C_{2^j}] for 0 <= j < i, and the
-single family of relations
+A_Q(C_{2^i}) has Q-basis the orbit classes x[i,j] = [C_{2^i}/C_{2^j}]
+for 0 <= j <= i, where the unit 1 = x[i,i], and the single family of
+relations
 
     x[i,j] * x[i,k] = 2^(i - max(j,k)) * x[i, min(j,k)].
 
@@ -12,7 +12,7 @@ over the levels h = 0..i; it is an injective ring map, which makes it
 the natural definition for everything not determined by the relations:
 restriction is truncation of marks, and the primitive idempotents e_h
 are the pullbacks of the indicator vectors.  Transfers act on the basis
-by tr(x[i,j]) = x[i+1,j] and tr(1) = x[i+1,i].
+by tr(x[i,j]) = x[i+1,j], so tr(1) = x[i+1,i].
 """
 
 from __future__ import annotations
@@ -21,6 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 from typing import Sequence
+
+
+def _exact(q: object, what: str) -> Fraction:
+    """q as a Fraction; int (bool excluded) and Fraction are the only exact inputs."""
+    if type(q) is Fraction:
+        return q
+    if type(q) is int:
+        return Fraction(q)
+    raise ValueError(f"{what} must be int or Fraction, not {type(q).__name__}")
 
 
 @dataclass(frozen=True)
@@ -33,11 +42,13 @@ class BurnsideElement:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int or type(self.i) is not int:
+            raise ValueError("ambient exponent n and level i must be integers")
         if self.n < 1:
             raise ValueError("ambient exponent n must be >= 1")
         if not 0 <= self.i <= self.n:
             raise ValueError(f"level {self.i} outside 0..{self.n}")
-        cs = tuple(Fraction(q) for q in self.coeffs)
+        cs = tuple(_exact(q, "coefficients") for q in self.coeffs)
         if len(cs) != self.i + 1:
             raise ValueError(f"expected {self.i + 1} coefficients at level {self.i}")
         object.__setattr__(self, "coeffs", cs)
@@ -81,42 +92,37 @@ class BurnsideElement:
         return BurnsideElement(self.n, self.i, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def scale(self, q: Fraction | int) -> "BurnsideElement":
-        q = Fraction(q)
+        q = _exact(q, "scale factor")
         return BurnsideElement(self.n, self.i, tuple(q * a for a in self.coeffs))
 
     def __mul__(self, other: "BurnsideElement") -> "BurnsideElement":
         self._assert_same(other)
         i = self.i
+        orbit = [i, *range(i)]  # coefficient slot -> j of its x[i,j]; the unit is x[i,i]
         out = [Fraction(0)] * (i + 1)
         for a_idx, a in enumerate(self.coeffs):
             if a == 0:
                 continue
+            j = orbit[a_idx]
             for b_idx, b in enumerate(other.coeffs):
                 if b == 0:
                     continue
-                q = a * b
-                if a_idx == 0:
-                    out[b_idx] += q
-                elif b_idx == 0:
-                    out[a_idx] += q
-                else:
-                    j, k = a_idx - 1, b_idx - 1
-                    out[1 + min(j, k)] += q * 2 ** (i - max(j, k))
+                k = orbit[b_idx]
+                out[a_idx if j <= k else b_idx] += a * b * 2 ** (i - max(j, k))
         return BurnsideElement(self.n, self.i, tuple(out))
 
     def marks(self) -> tuple[Fraction, ...]:
         """Fixed-point counts over the levels h = 0..i.
 
         The unit has one fixed point everywhere; x[i,j] has 2^(i-j)
-        fixed points at levels h <= j and none above.
+        fixed points at levels h <= j and none above.  So the marks are
+        one suffix sum: marks[i] = coeffs[0] and
+        marks[h] = marks[h+1] + coeffs[1+h] * 2^(i-h).
         """
-        i = self.i
-        out = []
-        for h in range(i + 1):
-            m = self.coeffs[0]
-            for j in range(h, i):
-                m += self.coeffs[1 + j] * 2 ** (i - j)
-            out.append(m)
+        i, cs = self.i, self.coeffs
+        out = [cs[0]] * (i + 1)
+        for h in range(i - 1, -1, -1):
+            out[h] = out[h + 1] + cs[1 + h] * 2 ** (i - h)
         return tuple(out)
 
     def res(self, i2: int) -> "BurnsideElement":
@@ -127,14 +133,10 @@ class BurnsideElement:
 
     def tr(self) -> "BurnsideElement":
         """Transfer one level up: tr(1) = x[i+1,i], tr(x[i,j]) = x[i+1,j]."""
-        i = self.i
-        if i >= self.n:
+        if self.i >= self.n:
             raise ValueError("cannot transfer above the ambient group")
-        out = [Fraction(0)] * (i + 2)
-        out[1 + i] = self.coeffs[0]
-        for j in range(i):
-            out[1 + j] += self.coeffs[1 + j]
-        return BurnsideElement(self.n, i + 1, tuple(out))
+        cs = self.coeffs
+        return BurnsideElement(self.n, self.i + 1, (0, *cs[1:], cs[0]))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
@@ -160,28 +162,20 @@ class BurnsideElement:
 def from_marks(n: int, i: int, marks: Sequence[Fraction | int]) -> BurnsideElement:
     """Invert the marks homomorphism at level i.
 
-    The system is triangular: only the unit has a fixed point at level
-    i, and only {1, x[i,j] : j >= h} contribute at level h, so the
-    coefficients come out by back-substitution.
+    Telescoping the suffix sum of ``marks``: only the unit has a fixed
+    point at level i, and x[i,h] alone makes the marks step between
+    levels h+1 and h, by 2^(i-h) per copy.  So the coefficients are the
+    first differences coeffs[0] = marks[i] and
+    coeffs[1+h] = (marks[h] - marks[h+1]) / 2^(i-h).
     """
     if len(marks) != i + 1:
         raise ValueError(f"expected {i + 1} marks at level {i}")
-    marks = [Fraction(q) for q in marks]
-    coeffs = [Fraction(0)] * (i + 1)
-    coeffs[0] = marks[i]
-    for h in range(i - 1, -1, -1):
-        acc = marks[h] - coeffs[0]
-        for j in range(h + 1, i):
-            acc -= coeffs[1 + j] * 2 ** (i - j)
-        coeffs[1 + h] = acc / 2 ** (i - h)
-    return BurnsideElement(n, i, tuple(coeffs))
+    ms = [_exact(q, "marks") for q in marks]
+    return BurnsideElement(n, i, (ms[i], *((ms[h] - ms[h + 1]) / 2 ** (i - h)
+                                           for h in range(i))))
 
 
 def idempotents(n: int, i: int) -> list[BurnsideElement]:
     """The primitive idempotents e_0..e_i of A_Q(C_{2^i}), with
     marks(e_h) the indicator vector of level h."""
-    out = []
-    for h in range(i + 1):
-        indicator = [Fraction(1) if m == h else Fraction(0) for m in range(i + 1)]
-        out.append(from_marks(n, i, indicator))
-    return out
+    return [from_marks(n, i, [int(m == h) for m in range(i + 1)]) for h in range(i + 1)]

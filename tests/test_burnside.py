@@ -11,7 +11,7 @@ the comparison to everything else.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ratstems.burnside import BurnsideElement, from_marks, idempotents
 
@@ -73,6 +73,27 @@ def oracle_marks(i: int, j: int):
     return out
 
 
+def ref_marks(a: BurnsideElement):
+    """Marks by their definition, one sum per level: the unit counts
+    once at every level and x[i,j] counts 2^(i-j) at the levels h <= j."""
+    i = a.i
+    return tuple(a.coeffs[0] + sum(a.coeffs[1 + j] * 2 ** (i - j) for j in range(h, i))
+                 for h in range(i + 1))
+
+
+def ref_from_marks(n: int, i: int, marks) -> BurnsideElement:
+    """Invert ref_marks by back-substitution, top level first."""
+    marks = [Fraction(q) for q in marks]
+    coeffs = [Fraction(0)] * (i + 1)
+    coeffs[0] = marks[i]
+    for h in range(i - 1, -1, -1):
+        acc = marks[h] - coeffs[0]
+        for j in range(h + 1, i):
+            acc -= coeffs[1 + j] * 2 ** (i - j)
+        coeffs[1 + h] = acc / 2 ** (i - h)
+    return BurnsideElement(n, i, tuple(coeffs))
+
+
 def basis(n: int, i: int):
     return [BurnsideElement.one(n, i)] + [BurnsideElement.x(n, i, j) for j in range(i)]
 
@@ -92,7 +113,7 @@ def test_marks_match_fixed_point_counts(n):
             assert list(BurnsideElement.x(n, i, j).marks()) == oracle_marks(i, j)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_products_match_orbit_decompositions(n):
     for i in range(n + 1):
         for (ka, ja) in basis_names(i):
@@ -161,6 +182,21 @@ def elements(n: int, i: int):
 @given(st.integers(min_value=0, max_value=4).flatmap(lambda i: elements(4, i)))
 def test_marks_round_trip(a):
     assert from_marks(a.n, a.i, a.marks()) == a
+
+
+@given(st.integers(min_value=0, max_value=40).flatmap(lambda i: elements(41, i)))
+@settings(deadline=None)  # level 40 is slow to check; the speed pin is in test_cli
+def test_formulas_match_the_per_level_sums(a):
+    n, i, marks = a.n, a.i, a.marks()
+    assert marks == ref_marks(a)
+    # the coefficients double as an arbitrary marks vector
+    assert from_marks(n, i, a.coeffs) == ref_from_marks(n, i, a.coeffs)
+    assert from_marks(n, i, marks) == a
+    for h in range(i + 1):
+        assert a.res(h).marks() == marks[: h + 1]
+    assert BurnsideElement.one(n, i).tr() == BurnsideElement.x(n, i + 1, i)
+    for j in range(i):
+        assert BurnsideElement.x(n, i, j).tr() == BurnsideElement.x(n, i + 1, j)
 
 
 @given(st.integers(min_value=0, max_value=3).flatmap(
@@ -245,3 +281,17 @@ def test_validation():
     for n, i in [(3, -1), (-1, -1)]:
         with pytest.raises(ValueError):
             BurnsideElement.one(n, i)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1/2"])
+def test_inexact_inputs_are_rejected(bad):
+    with pytest.raises(ValueError, match="must be integers"):
+        BurnsideElement(bad, 1, (1, 0))
+    with pytest.raises(ValueError, match="must be integers"):
+        BurnsideElement(2, bad, (1, 0))
+    with pytest.raises(ValueError, match="coefficients must be int or Fraction"):
+        BurnsideElement(2, 1, (bad, 0))
+    with pytest.raises(ValueError, match="marks must be int or Fraction"):
+        from_marks(2, 1, [bad, 1])
+    with pytest.raises(ValueError, match="scale factor must be int or Fraction"):
+        BurnsideElement.one(2, 1).scale(bad)

@@ -225,6 +225,17 @@ def test_sphere_of_a_long_rotation_chain_is_quick(capsys):
     assert elapsed < 10.0
 
 
+
+def test_burnside_at_large_n_is_quick(capsys):
+    # marks are one suffix sum and from_marks their first differences,
+    # so n = 150 takes about 0.3 s; a sum per level takes over 15 s
+    start = time.perf_counter()
+    status, lines, _ = run_lines(capsys, ["burnside", "--n", "150"])
+    elapsed = time.perf_counter() - start
+    assert status == 0
+    assert len(lines) == 2 * 151
+    assert elapsed < 3.0
+
 def test_consistency_report(capsys):
     status, lines, _ = run_lines(capsys, ["consistency", "bsigma2", "--n", "2"])
     assert status == 0
