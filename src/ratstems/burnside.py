@@ -13,23 +13,21 @@ the natural definition for everything not determined by the relations:
 restriction is truncation of marks, and the primitive idempotents e_h
 are the pullbacks of the indicator vectors.  Transfers act on the basis
 by tr(x[i,j]) = x[i+1,j], so tr(1) = x[i+1,i].
+
+Products and marks run on integer numerators over one common
+denominator: marks are a suffix sum of the coefficient numerators, a
+product multiplies two marks vectors pointwise, and its coefficients
+are their first differences, one Fraction per output coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 from typing import Sequence
 
-
-def _exact(q: object, what: str) -> Fraction:
-    """q as a Fraction; int (bool excluded) and Fraction are the only exact inputs."""
-    if type(q) is Fraction:
-        return q
-    if type(q) is int:
-        return Fraction(q)
-    raise ValueError(f"{what} must be int or Fraction, not {type(q).__name__}")
+from .series import _ZERO, _exact, _numerators
 
 
 @dataclass(frozen=True)
@@ -96,20 +94,21 @@ class BurnsideElement:
         return BurnsideElement(self.n, self.i, tuple(q * a for a in self.coeffs))
 
     def __mul__(self, other: "BurnsideElement") -> "BurnsideElement":
+        """The product through the marks, which are an injective ring map:
+        multiply the two marks vectors pointwise and invert."""
         self._assert_same(other)
+        da, a = self._mark_numerators()
+        db, b = other._mark_numerators()
+        return _from_mark_numerators(self.n, self.i, da * db, list(map(mul, a, b)))
+
+    def _mark_numerators(self) -> tuple[int, list[int]]:
+        """The marks as integers over one common denominator."""
         i = self.i
-        orbit = [i, *range(i)]  # coefficient slot -> j of its x[i,j]; the unit is x[i,i]
-        out = [Fraction(0)] * (i + 1)
-        for a_idx, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            j = orbit[a_idx]
-            for b_idx, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                k = orbit[b_idx]
-                out[a_idx if j <= k else b_idx] += a * b * 2 ** (i - max(j, k))
-        return BurnsideElement(self.n, self.i, tuple(out))
+        den, cs = _numerators(self.coeffs)
+        out = [cs[0]] * (i + 1)
+        for h in range(i - 1, -1, -1):
+            out[h] = out[h + 1] + (cs[1 + h] << (i - h))
+        return den, out
 
     def marks(self) -> tuple[Fraction, ...]:
         """Fixed-point counts over the levels h = 0..i.
@@ -119,17 +118,15 @@ class BurnsideElement:
         one suffix sum: marks[i] = coeffs[0] and
         marks[h] = marks[h+1] + coeffs[1+h] * 2^(i-h).
         """
-        i, cs = self.i, self.coeffs
-        out = [cs[0]] * (i + 1)
-        for h in range(i - 1, -1, -1):
-            out[h] = out[h + 1] + cs[1 + h] * 2 ** (i - h)
-        return tuple(out)
+        den, ms = self._mark_numerators()
+        return tuple(Fraction(m, den) if m else _ZERO for m in ms)
 
     def res(self, i2: int) -> "BurnsideElement":
         """Restriction to level i2 <= i, defined by truncating marks."""
         if not 0 <= i2 <= self.i:
             raise ValueError(f"cannot restrict level {self.i} to {i2}")
-        return from_marks(self.n, i2, self.marks()[: i2 + 1])
+        den, ms = self._mark_numerators()
+        return _from_mark_numerators(self.n, i2, den, ms[: i2 + 1])
 
     def tr(self) -> "BurnsideElement":
         """Transfer one level up: tr(1) = x[i+1,i], tr(x[i,j]) = x[i+1,j]."""
@@ -170,12 +167,21 @@ def from_marks(n: int, i: int, marks: Sequence[Fraction | int]) -> BurnsideEleme
     """
     if len(marks) != i + 1:
         raise ValueError(f"expected {i + 1} marks at level {i}")
-    ms = [_exact(q, "marks") for q in marks]
-    return BurnsideElement(n, i, (ms[i], *((ms[h] - ms[h + 1]) / 2 ** (i - h)
-                                           for h in range(i))))
+    den, ms = _numerators([_exact(q, "marks") for q in marks])
+    return _from_mark_numerators(n, i, den, ms)
+
+
+def _from_mark_numerators(n: int, i: int, den: int, ms: list[int]) -> BurnsideElement:
+    """from_marks of the marks ms[h] / den."""
+    out = [Fraction(ms[i], den) if ms[i] else _ZERO]
+    for h in range(i):
+        step = ms[h] - ms[h + 1]
+        out.append(Fraction(step, den << (i - h)) if step else _ZERO)
+    return BurnsideElement(n, i, tuple(out))
 
 
 def idempotents(n: int, i: int) -> list[BurnsideElement]:
     """The primitive idempotents e_0..e_i of A_Q(C_{2^i}), with
     marks(e_h) the indicator vector of level h."""
-    return [from_marks(n, i, [int(m == h) for m in range(i + 1)]) for h in range(i + 1)]
+    return [_from_mark_numerators(n, i, 1, [int(m == h) for m in range(i + 1)])
+            for h in range(i + 1)]

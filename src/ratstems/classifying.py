@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .burnside import BurnsideElement
 from .mackey import PLUS, GradedTable, MackeyClass, classify
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _exact, _numerators
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -435,22 +435,28 @@ def bsigma2_consistency(n: int, bound: int = 6) -> SigmaTwoComparison:
 # ---------------------------------------------------------------------------
 # Idempotent collapse of a class with integral spectrum.
 
-def _poly_eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
+def _poly_eval(coeffs: Sequence[Fraction | int], x: Fraction) -> Fraction:
+    """coeffs[0] + coeffs[1]*x + ... at x = p/q, by Horner on integers:
+    with numerators c_k over den, the value is
+    sum_k c_k p^k q^(d-k) / (den q^d), d the degree."""
+    den, nums = _numerators(coeffs)
+    p, q = x.numerator, x.denominator
+    acc, qpow = 0, 1
+    for c in reversed(nums):
+        acc = acc * p + c * qpow
+        qpow *= q
+    return Fraction(acc * q, den * qpow)  # qpow ends at q^(d+1)
 
 
 def _poly_from_roots(roots: Sequence[int]) -> tuple[Fraction, ...]:
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for r in roots:
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        nxt = [0] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
             nxt[i] -= c * r
             nxt[i + 1] += c
         coeffs = nxt
-    return tuple(coeffs)
+    return tuple(map(Fraction, coeffs))
 
 
 @dataclass(frozen=True)
@@ -490,7 +496,7 @@ def collapse_expand(f: Sequence[Fraction | int], s: int) -> tuple[Fraction, ...]
     off by evaluating on the spectrum (c_0 = f(0), c_i = f(i) - f(0))."""
     if s < 1:
         raise ValueError("collapse needs s >= 1")
-    coeffs = [Fraction(c) for c in f]
+    coeffs = [_exact(c, "polynomial coefficients") for c in f]
     base = _poly_eval(coeffs, Fraction(0))
     out = [base]
     for i in range(1, s + 1):

@@ -11,13 +11,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 _ZERO = Fraction(0)
 
 
-def _numerators(coeffs: tuple[Fraction, ...]) -> tuple[int, list[int]]:
+def _exact(q: object, what: str) -> Fraction:
+    """q as a Fraction; int (bool excluded) and Fraction are the only exact inputs."""
+    if type(q) is Fraction:
+        return q
+    if type(q) is int:
+        return Fraction(q)
+    raise ValueError(f"{what} must be int or Fraction, not {type(q).__name__}")
+
+
+def _numerators(coeffs: Sequence[Fraction | int]) -> tuple[int, list[int]]:
     """A common denominator of the coefficients and their numerators over it."""
     den = lcm(*(q.denominator for q in coeffs))
     return den, [q.numerator * (den // q.denominator) for q in coeffs]
@@ -35,7 +44,7 @@ class TruncatedSeries:
         for k, q in enumerate(coeffs):
             if k > bound:
                 break
-            cs[k] = q if type(q) is Fraction else Fraction(q)
+            cs[k] = q if type(q) is Fraction else _exact(q, "series coefficients")
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -91,7 +100,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.bound, [Fraction(v, den) if v else _ZERO for v in acc])
 
     def scale(self, q: Fraction | int) -> "TruncatedSeries":
-        q = Fraction(q)
+        q = _exact(q, "scale factor")
         return TruncatedSeries(self.bound, (q * a for a in self.coeffs))
 
     def truncate(self, bound: int) -> "TruncatedSeries":

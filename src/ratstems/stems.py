@@ -44,6 +44,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .mackey import MINUS, PLUS, GradedTable, MackeyClass
 from .rolattice import VirtualRep
+from .series import _exact
 
 # The bound of both sphere-table caches.  A box scan reads each column's table
 # once and reuses only prefixes built a few columns before; neither workload
@@ -400,7 +401,7 @@ class SectorElement:
             raise ValueError(f"level {self.level} outside 0..{n}")
         merged: dict[int, Fraction] = {}
         for i, q in self.coeffs:
-            q = Fraction(q)
+            q = _exact(q, "sector coefficients")
             if q == 0:
                 continue
             if not _sector_alive(self.degree, i, self.level):
@@ -417,7 +418,7 @@ class SectorElement:
     @classmethod
     def from_dict(cls, level: int, degree: VirtualRep,
                   coeffs: Mapping[int, Fraction | int]) -> "SectorElement":
-        return cls(level, degree, tuple((i, Fraction(q)) for i, q in coeffs.items()))
+        return cls(level, degree, tuple(coeffs.items()))
 
     # -- canonical classes ---------------------------------------------------
 
@@ -482,7 +483,7 @@ class SectorElement:
         return SectorElement.from_dict(self.level, self.degree, out)
 
     def scale(self, q: Fraction | int) -> "SectorElement":
-        q = Fraction(q)
+        q = _exact(q, "scale factor")
         return SectorElement(self.level, self.degree,
                              tuple((i, q * a) for i, a in self.coeffs))
 

@@ -94,6 +94,24 @@ def ref_from_marks(n: int, i: int, marks) -> BurnsideElement:
     return BurnsideElement(n, i, tuple(coeffs))
 
 
+def ref_mul(a: BurnsideElement, b: BurnsideElement) -> BurnsideElement:
+    """The product by the relations x[i,j] * x[i,k] = 2^(i - max(j,k)) *
+    x[i, min(j,k)], one Fraction term per pair of nonzero coefficients."""
+    i = a.i
+    orbit = [i, *range(i)]  # coefficient slot -> j of its x[i,j]; the unit is x[i,i]
+    out = [Fraction(0)] * (i + 1)
+    for a_idx, x in enumerate(a.coeffs):
+        if x == 0:
+            continue
+        j = orbit[a_idx]
+        for b_idx, y in enumerate(b.coeffs):
+            if y == 0:
+                continue
+            k = orbit[b_idx]
+            out[a_idx if j <= k else b_idx] += x * y * 2 ** (i - max(j, k))
+    return BurnsideElement(a.n, i, tuple(out))
+
+
 def basis(n: int, i: int):
     return [BurnsideElement.one(n, i)] + [BurnsideElement.x(n, i, j) for j in range(i)]
 
@@ -197,6 +215,34 @@ def test_formulas_match_the_per_level_sums(a):
     assert BurnsideElement.one(n, i).tr() == BurnsideElement.x(n, i + 1, i)
     for j in range(i):
         assert BurnsideElement.x(n, i, j).tr() == BurnsideElement.x(n, i + 1, j)
+
+
+# zero, integer and fractional coefficients of both signs, so that the
+# common denominators of the integer kernels mix
+mixed_coeffs = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9),
+                         st.fractions(min_value=-50, max_value=50, max_denominator=360))
+
+
+def mixed_elements(n: int, i: int):
+    return st.lists(mixed_coeffs, min_size=i + 1, max_size=i + 1).map(
+        lambda cs: BurnsideElement(n, i, tuple(cs)))
+
+
+@given(st.integers(min_value=0, max_value=40).flatmap(
+    lambda i: st.tuples(mixed_elements(41, i), mixed_elements(41, i))))
+@settings(deadline=None)
+def test_integer_kernels_match_the_fraction_references(pair):
+    a, b = pair
+    n, i = a.n, a.i
+    prod = a * b
+    assert prod == ref_mul(a, b)
+    assert all(type(q) is Fraction for q in prod.coeffs)
+    marks = a.marks()
+    assert marks == ref_marks(a)
+    assert all(type(q) is Fraction for q in marks)
+    assert from_marks(n, i, b.coeffs) == ref_from_marks(n, i, b.coeffs)
+    assert from_marks(n, i, [int(q) for q in b.coeffs]) == ref_from_marks(
+        n, i, [int(q) for q in b.coeffs])
 
 
 @given(st.integers(min_value=0, max_value=3).flatmap(

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ratstems.burnside import BurnsideElement
 from ratstems.classifying import (FixedPointDiagram, LevelComponents,
@@ -20,7 +21,8 @@ from ratstems.classifying import (FixedPointDiagram, LevelComponents,
                                   collapse_expand, compositions,
                                   fixed_point_data, gm_assemble,
                                   sym_invariants_series, torus_check_su2,
-                                  torus_check_u, weyl_eigendata, _partitions)
+                                  torus_check_u, weyl_eigendata, _partitions,
+                                  _poly_eval, _poly_from_roots)
 from ratstems.mackey import (MINUS, PLUS, MackeyClass, NonSignIsotypicError,
                              classify)
 from ratstems.rolattice import VirtualRep, parse_degree
@@ -480,6 +482,38 @@ def test_collapse_round_trip(s):
         assert lhs == rhs
 
 
+@given(coeffs=st.lists(st.one_of(st.integers(min_value=-20, max_value=20),
+                                 st.fractions(min_value=-20, max_value=20, max_denominator=50)),
+                       max_size=8),
+       x=st.fractions(min_value=-10, max_value=10, max_denominator=12))
+def test_poly_eval_matches_fraction_horner(coeffs, x):
+    # selftest only evaluates at integers, where the denominator of x is 1;
+    # non-integer and negative x exercise the scaling by its powers
+    value = _poly_eval(coeffs, x)
+    assert value == poly_eval(coeffs, x)
+    assert type(value) is Fraction
+
+
+def test_poly_eval_worked_cases():
+    assert _poly_eval([], Fraction(3, 7)) == 0
+    assert type(_poly_eval([], Fraction(3, 7))) is Fraction
+    assert _poly_eval([1, 2, 3], Fraction(-1, 2)) == Fraction(3, 4)
+    assert _poly_eval([Fraction(1, 3), 0, -1], Fraction(2, 3)) == Fraction(-1, 9)
+    assert _poly_eval([0, 0, 0, 1], Fraction(-5, 4)) == Fraction(-125, 64)
+    assert _poly_eval((5,), Fraction(9, 2)) == 5
+    assert _poly_eval([1, 1], 4) == 5
+
+
+def test_poly_from_roots_is_exact():
+    for roots in ([], [0], [3, -2], list(range(6)), [1, 1, -4]):
+        coeffs = _poly_from_roots(roots)
+        assert len(coeffs) == len(roots) + 1 and coeffs[-1] == 1
+        assert all(type(c) is Fraction for c in coeffs)
+        assert all(poly_eval(coeffs, Fraction(r)) == 0 for r in roots)
+        assert poly_eval(coeffs, Fraction(1, 2)) == math.prod(
+            Fraction(1, 2) - r for r in roots)
+
+
 def test_collapse_errors():
     with pytest.raises(ValueError):
         collapse(0)
@@ -489,6 +523,9 @@ def test_collapse_errors():
         collapse(3).idempotent(4)
     with pytest.raises(ValueError):
         collapse_expand([1, 2], 0)
+    for bad in (0.5, True):
+        with pytest.raises(ValueError, match="polynomial coefficients must be int or Fraction"):
+            collapse_expand([1, bad], 2)
 
 
 # ---------------------------------------------------------------------------

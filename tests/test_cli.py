@@ -7,12 +7,14 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ratstems import cli, stems
-from ratstems.burnside import BurnsideElement
+from ratstems.burnside import BurnsideElement, idempotents
 from ratstems.mackey import MackeyClass, NonSignIsotypicError
 from ratstems.rolattice import VirtualRep
 from ratstems.stems import SectorElement, TupleAmbiguityError
@@ -719,11 +721,66 @@ def test_sector_to_burnside_bridge():
     unit = SectorElement.unit(2, 2)
     assert cli.sector_to_burnside(unit) == BurnsideElement.one(2, 2)
     lifted = SectorElement.y_class(2, 1).tr()
-    from fractions import Fraction
     want = BurnsideElement.x(2, 2, 1) - BurnsideElement.x(2, 2, 0).scale(Fraction(1, 2))
     assert cli.sector_to_burnside(lifted) == want
     with pytest.raises(ValueError):
         cli.sector_to_burnside(SectorElement.euler_sigma(2))
+
+
+def composed_bridge(elem: SectorElement) -> BurnsideElement:
+    """The bridge by its definition: the top idempotent of each line's
+    level, transferred up to the element's level, scaled and summed."""
+    out = BurnsideElement.zero(elem.n, elem.level)
+    for i, q in elem.coeffs:
+        e = idempotents(elem.n, i)[i]
+        for _ in range(elem.level - i):
+            e = e.tr()
+        out = out + e.scale(q)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@given(qs=st.lists(st.one_of(st.integers(min_value=-5, max_value=5),
+                             st.fractions(min_value=-9, max_value=9, max_denominator=64)),
+                   min_size=7, max_size=7))
+def test_closed_form_bridge_matches_the_composition(n, qs):
+    zero = VirtualRep.zero(n)
+    for level in range(n + 1):
+        for i in range(level + 1):
+            line = SectorElement.from_dict(level, zero, {i: 1})
+            assert cli.sector_to_burnside(line) == composed_bridge(line)
+        elem = SectorElement.from_dict(level, zero, dict(enumerate(qs[: level + 1])))
+        bridged = cli.sector_to_burnside(elem)
+        assert bridged == composed_bridge(elem)
+        assert all(type(q) is Fraction for q in bridged.coeffs)
+
+
+def skewed_bridge(weight: Fraction):
+    """The closed-form bridge with -weight * x[L,i-1] in place of -x[L,i-1]/2."""
+    def bridge(elem: SectorElement) -> BurnsideElement:
+        level = elem.level
+        out = [Fraction(0)] * (level + 1)
+        for i, q in elem.coeffs:
+            out[0 if i == level else 1 + i] += q
+            if i:
+                out[i] -= weight * q
+        return BurnsideElement(elem.n, level, tuple(out))
+    return bridge
+
+
+def test_skewed_bridge_at_one_half_is_the_bridge(monkeypatch):
+    monkeypatch.setattr(cli, "sector_to_burnside", skewed_bridge(Fraction(1, 2)))
+    assert cli._check_sector_bridge(3) is None
+
+
+@pytest.mark.parametrize("weight", [Fraction(0), Fraction(1, 4)])
+def test_bridge_check_catches_a_wrong_map(monkeypatch, capsys, weight):
+    monkeypatch.setattr(cli, "sector_to_burnside", skewed_bridge(weight))
+    detail = cli._check_sector_bridge(2)
+    assert detail is not None and "n=1 level 1" in detail
+    status, lines, _ = run_lines(capsys, ["selftest"])
+    assert status == 1
+    assert "check=sector_burnside_bridge | status=FAIL" in "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,24 @@ def test_constructor_validation():
         TruncatedSeries.one(4).coeff(-1)
 
 
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_inexact_inputs_are_rejected(bad):
+    with pytest.raises(ValueError, match="series coefficients must be int or Fraction"):
+        TruncatedSeries(3, [bad])
+    with pytest.raises(ValueError, match="series coefficients must be int or Fraction"):
+        TruncatedSeries(3, [Fraction(1, 3), bad])
+    with pytest.raises(ValueError, match="scale factor must be int or Fraction"):
+        TruncatedSeries.one(3).scale(bad)
+
+
+def test_exact_inputs_are_kept():
+    half = Fraction(1, 2)
+    assert as_list(TruncatedSeries(2, [half, 3])) == [half, 3, 0]
+    assert type(TruncatedSeries(2, [half, 3]).coeff(1)) is Fraction
+    assert as_list(TruncatedSeries(2, [1, 1]).scale(half)) == [half, half, 0]
+    assert type(TruncatedSeries.one(2).scale(3).coeff(0)) is Fraction
+
+
 def test_geometric_inverts_one_minus_t_step():
     for step in (1, 2, 3, 4):
         one = TruncatedSeries.one(BOUND)

@@ -622,6 +622,27 @@ def test_sector_element_errors():
         unit(n, 1).scale(0).inverse()
 
 
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_sector_inexact_inputs_are_rejected(bad):
+    zero = VirtualRep.zero(1)
+    with pytest.raises(ValueError, match="sector coefficients must be int or Fraction"):
+        SectorElement.from_dict(1, zero, {1: bad})
+    with pytest.raises(ValueError, match="sector coefficients must be int or Fraction"):
+        SectorElement(1, zero, ((0, Fraction(1, 2)), (1, bad)))
+    with pytest.raises(ValueError, match="scale factor must be int or Fraction"):
+        SectorElement.unit(1, 1).scale(bad)
+
+
+def test_sector_exact_inputs_are_kept():
+    zero, half = VirtualRep.zero(1), Fraction(1, 2)
+    a = SectorElement.from_dict(1, zero, {0: half, 1: 1})
+    assert a == SectorElement(1, zero, ((1, Fraction(1)), (0, half)))
+    assert a.coeffs == ((0, half), (1, 1))
+    assert all(type(q) is Fraction for _, q in a.coeffs)
+    assert a.scale(half).coeffs == ((0, Fraction(1, 4)), (1, half))
+    assert a.scale(2) == a + a
+
+
 def test_monomials_view_and_str():
     n = 2
     g = SectorElement.orient_lambda(n, 0)
