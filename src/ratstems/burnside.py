@@ -14,17 +14,17 @@ restriction is truncation of marks, and the primitive idempotents e_h
 are the pullbacks of the indicator vectors.  Transfers act on the basis
 by tr(x[i,j]) = x[i+1,j], so tr(1) = x[i+1,i].
 
-Products and marks run on integer numerators over one common
-denominator: marks are a suffix sum of the coefficient numerators, a
-product multiplies two marks vectors pointwise, and its coefficients
-are their first differences, one Fraction per output coefficient.
+Products, marks and their inverse run on integer numerators over one
+common denominator, with one Fraction per output coefficient: a product
+applies the relations to the numerators, marks are their suffix sum,
+and from_marks takes first differences.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Sequence
 
 from .series import _ZERO, _exact, _numerators
@@ -94,21 +94,25 @@ class BurnsideElement:
         return BurnsideElement(self.n, self.i, tuple(q * a for a in self.coeffs))
 
     def __mul__(self, other: "BurnsideElement") -> "BurnsideElement":
-        """The product through the marks, which are an injective ring map:
-        multiply the two marks vectors pointwise and invert."""
+        """The product by the relations, on the integer numerators of both
+        factors over the product of their denominators."""
         self._assert_same(other)
-        da, a = self._mark_numerators()
-        db, b = other._mark_numerators()
-        return _from_mark_numerators(self.n, self.i, da * db, list(map(mul, a, b)))
-
-    def _mark_numerators(self) -> tuple[int, list[int]]:
-        """The marks as integers over one common denominator."""
         i = self.i
-        den, cs = _numerators(self.coeffs)
-        out = [cs[0]] * (i + 1)
-        for h in range(i - 1, -1, -1):
-            out[h] = out[h + 1] + (cs[1 + h] << (i - h))
-        return den, out
+        orbit = [i, *range(i)]  # coefficient slot -> j of its x[i,j]; the unit is x[i,i]
+        da, a = _numerators(self.coeffs)
+        db, b = _numerators(other.coeffs)
+        out = [0] * (i + 1)
+        for a_idx, p in enumerate(a):
+            if not p:
+                continue
+            j = orbit[a_idx]
+            for b_idx, q in enumerate(b):
+                if not q:
+                    continue
+                k = orbit[b_idx]
+                out[a_idx if j <= k else b_idx] += p * q << (i - max(j, k))
+        den = da * db
+        return BurnsideElement(self.n, i, tuple(Fraction(c, den) if c else _ZERO for c in out))
 
     def marks(self) -> tuple[Fraction, ...]:
         """Fixed-point counts over the levels h = 0..i.
@@ -118,15 +122,18 @@ class BurnsideElement:
         one suffix sum: marks[i] = coeffs[0] and
         marks[h] = marks[h+1] + coeffs[1+h] * 2^(i-h).
         """
-        den, ms = self._mark_numerators()
-        return tuple(Fraction(m, den) if m else _ZERO for m in ms)
+        i = self.i
+        den, cs = _numerators(self.coeffs)
+        out = [cs[0]] * (i + 1)
+        for h in range(i - 1, -1, -1):
+            out[h] = out[h + 1] + (cs[1 + h] << (i - h))
+        return tuple(Fraction(m, den) if m else _ZERO for m in out)
 
     def res(self, i2: int) -> "BurnsideElement":
         """Restriction to level i2 <= i, defined by truncating marks."""
         if not 0 <= i2 <= self.i:
             raise ValueError(f"cannot restrict level {self.i} to {i2}")
-        den, ms = self._mark_numerators()
-        return _from_mark_numerators(self.n, i2, den, ms[: i2 + 1])
+        return from_marks(self.n, i2, self.marks()[: i2 + 1])
 
     def tr(self) -> "BurnsideElement":
         """Transfer one level up: tr(1) = x[i+1,i], tr(x[i,j]) = x[i+1,j]."""
@@ -167,12 +174,7 @@ def from_marks(n: int, i: int, marks: Sequence[Fraction | int]) -> BurnsideEleme
     """
     if len(marks) != i + 1:
         raise ValueError(f"expected {i + 1} marks at level {i}")
-    den, ms = _numerators([_exact(q, "marks") for q in marks])
-    return _from_mark_numerators(n, i, den, ms)
-
-
-def _from_mark_numerators(n: int, i: int, den: int, ms: list[int]) -> BurnsideElement:
-    """from_marks of the marks ms[h] / den."""
+    den, ms = _numerators([q if type(q) is int else _exact(q, "marks") for q in marks])
     out = [Fraction(ms[i], den) if ms[i] else _ZERO]
     for h in range(i):
         step = ms[h] - ms[h + 1]
@@ -180,8 +182,27 @@ def _from_mark_numerators(n: int, i: int, den: int, ms: list[int]) -> BurnsideEl
     return BurnsideElement(n, i, tuple(out))
 
 
+def transferred_tops(n: int, level: int,
+                     lines: Sequence[tuple[int, Fraction | int]]) -> BurnsideElement:
+    """The sum of q * tr^(level-i)(e_i) over the pairs (i, q) in lines,
+    where e_i is the top idempotent of level i <= level.
+
+    In closed form tr^(L-i)(e_i) = x[L,i] - x[L,i-1]/2 for i < L (just
+    x[L,0] for i = 0), and e_L = y_L = 1 - x[L,L-1]/2 (just 1 for L = 0).
+    The sum is taken on integer numerators over twice a common
+    denominator of the q."""
+    den, nums = _numerators([_exact(q, "line coefficients") for _, q in lines])
+    out = [0] * (level + 1)
+    for (i, _), q in zip(lines, nums):
+        if not 0 <= i <= level:
+            raise ValueError(f"line {i} outside 0..{level}")
+        out[0 if i == level else 1 + i] += 2 * q  # slot of x[L,i]; x[L,L] is the unit
+        if i:
+            out[i] -= q  # slot of x[L,i-1]
+    return BurnsideElement(n, level, tuple(Fraction(c, 2 * den) for c in out))
+
+
 def idempotents(n: int, i: int) -> list[BurnsideElement]:
     """The primitive idempotents e_0..e_i of A_Q(C_{2^i}), with
     marks(e_h) the indicator vector of level h."""
-    return [_from_mark_numerators(n, i, 1, [int(m == h) for m in range(i + 1)])
-            for h in range(i + 1)]
+    return [from_marks(n, i, [int(m == h) for m in range(i + 1)]) for h in range(i + 1)]

@@ -31,13 +31,12 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__
-from .burnside import BurnsideElement, from_marks, idempotents
+from .burnside import BurnsideElement, from_marks, idempotents, transferred_tops
 from .classifying import (bgs1_presentation, bsigma2_consistency, collapse,
                           collapse_expand, fixed_point_data, gm_assemble,
                           torus_check_su2, torus_check_u)
 from .mackey import MackeyClass, NonSignIsotypicError
 from .rolattice import VirtualRep, parse_degree
-from .series import _numerators
 from .stems import (STEM_METHODS, SectorElement, TupleAmbiguityError, box_columns,
                     lattice_mismatches, point_presentation, sphere_homology)
 
@@ -86,18 +85,11 @@ def sector_to_burnside(elem: SectorElement) -> BurnsideElement:
 
     At level L that image is closed-form: line i < L maps to
     x[L,i] - x[L,i-1]/2 (just x[L,0] for i = 0), and line L maps to
-    y_L = 1 - x[L,L-1]/2 (just 1 for L = 0).  The coefficients are
-    summed as integer numerators over twice a common denominator."""
+    y_L = 1 - x[L,L-1]/2 (just 1 for L = 0); see
+    ``burnside.transferred_tops``."""
     if elem.degree != VirtualRep.zero(elem.n):
         raise ValueError("only degree-0 elements live in the Burnside algebra")
-    level = elem.level
-    den, nums = _numerators([q for _, q in elem.coeffs])
-    out = [0] * (level + 1)
-    for (i, _), q in zip(elem.coeffs, nums):
-        out[0 if i == level else 1 + i] += 2 * q  # slot of x[L,i]; x[L,L] is the unit
-        if i:
-            out[i] -= q  # slot of x[L,i-1]
-    return BurnsideElement(elem.n, level, tuple(Fraction(c, 2 * den) for c in out))
+    return transferred_tops(elem.n, elem.level, elem.coeffs)
 
 
 # ---------------------------------------------------------------------------

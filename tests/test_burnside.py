@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ratstems.burnside import BurnsideElement, from_marks, idempotents
+from ratstems.burnside import BurnsideElement, from_marks, idempotents, transferred_tops
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +293,15 @@ def test_frobenius_and_projection(n):
             assert a.tr().res(i) == a.scale(2)
             for b in basis(n, i + 1):
                 assert (a * b.res(i)).tr() == a.tr() * b
+
+
+def test_transferred_tops_validation():
+    for line in (3, -1):
+        with pytest.raises(ValueError, match=rf"line {line} outside 0\.\.2"):
+            transferred_tops(3, 2, [(0, 1), (line, 1)])
+    for bad in (0.5, True):
+        with pytest.raises(ValueError, match="line coefficients must be int or Fraction"):
+            transferred_tops(3, 2, [(0, bad)])
 
 
 def test_record_round_trip():
