@@ -5,10 +5,12 @@ points of the equivariant classifying space B_G L at subgroup level h
 decompose into components indexed by conjugacy classes of homomorphisms
 C_{2^h} -> L, each contributing the rational cohomology of a classical
 classifying space (of the centralizer).  ``fixed_point_data`` records
-these diagrams for the built-in families, and ``gm_assemble`` turns a
-diagram into a table of Mackey classes: per cohomological degree, each
-level's components go to ``weyl_eigendata`` as orbits of the residual
-Weyl action, and the resulting eigendata feed ``mackey.classify``.
+these diagrams for the built-in families as summands, a series with a
+multiplicity (a U(m) level is one summand, its total series, from a
+generating function), and ``gm_assemble`` turns a diagram into a table
+of Mackey classes: per cohomological degree, each level's summands go
+to ``weyl_eigendata`` as orbits of the residual Weyl action, and the
+resulting eigendata feed ``mackey.classify``.
 
 On top of the diagrams sit the comparison checks:
 
@@ -35,11 +37,10 @@ idempotent basis.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd, perm, prod
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .burnside import BurnsideElement
@@ -66,19 +67,6 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
         yield tuple(out)
 
 
-def _partitions(total: int, most: int, largest: int) -> Iterator[tuple[int, ...]]:
-    """The partitions of ``total`` into at most ``most`` positive parts,
-    none above ``largest``, as nonincreasing tuples."""
-    if total == 0:
-        yield ()
-        return
-    for first in range(min(total, largest), 0, -1):
-        if first * most < total:
-            break
-        for rest in _partitions(total - first, most - 1, first):
-            yield (first, *rest)
-
-
 def bu_series(k: int, bound: int) -> TruncatedSeries:
     """Rational cohomology series of BU(k): one polynomial generator in
     each even degree 2, 4, ..., 2k (those above the bound are 1)."""
@@ -90,14 +78,23 @@ def bu_series(k: int, bound: int) -> TruncatedSeries:
 
 @dataclass(frozen=True)
 class LevelComponents:
-    """The fixed-point components at one subgroup level: distinct
-    cohomology series with multiplicities."""
+    """The fixed-point components at one subgroup level, as summands:
+    a cohomology series with a multiplicity.  A summand's series may
+    already be a sum over several components; every component is
+    connected, so degree 0 of the total counts the components."""
 
     level: int
     components: tuple[tuple[TruncatedSeries, int], ...]
 
     def count(self) -> int:
-        return sum(c for _, c in self.components)
+        total = 0
+        for series, c in self.components:
+            q = series.coeffs[0]
+            dim, rest = divmod(q.numerator * c, q.denominator)
+            if rest:
+                raise ValueError("component dimensions must be integral")
+            total += dim
+        return total
 
     def total_series(self) -> TruncatedSeries:
         out = None
@@ -133,10 +130,13 @@ def fixed_point_data(family: str, n: int, bound: int, m: int = 1) -> FixedPointD
     bsigma2  homs to Sigma_2: trivial only at level 0, trivial and sign
              above; components are rationally trivial.
     bu       conjugacy classes of homs to U(m) are eigenvalue
-             multiplicity tuples (weak compositions of m into 2^h
-             parts), walked as the partitions of m into at most 2^h
-             parts with their arrangement count; the centralizer is
-             the matching product of unitary groups.
+             multiplicity tuples (weak compositions of m into N = 2^h
+             parts), the centralizer the matching product of unitary
+             groups.  The level keeps one summand, the total series:
+             the coefficient G_m of x^m in F(x)^N with
+             F(x) = sum_k BU(k) x^k, by the power recurrence
+             k G_k = sum_{j=1..k} ((N+1) j - k) F_j G_{k-j}.  Its
+             degree 0 counts the C(N+m-1, m) components.
     bsu2     level 0 sees SU(2) itself; above, the two central values
              give BSU(2)-components and the 2^(h-1)-1 noncentral
              character pairs give torus components.
@@ -157,18 +157,16 @@ def fixed_point_data(family: str, n: int, bound: int, m: int = 1) -> FixedPointD
     elif family == "bu":
         if m < 1:
             raise ValueError("bu needs m >= 1")
+        fs = [bu_series(k, bound) for k in range(m + 1)]
         for h in range(n + 1):
-            counts: dict[TruncatedSeries, int] = {}
-            for parts in _partitions(m, 2 ** h, m):
-                series = TruncatedSeries.one(bound)
-                for k in parts:
-                    series = series * bu_series(k, bound)
-                ways = perm(2 ** h, len(parts)) // prod(
-                    factorial(c) for c in Counter(parts).values())
-                # below degree 4 distinct partitions can share a series
-                counts[series] = counts.get(series, 0) + ways
-            levels.append(LevelComponents(
-                h, tuple(sorted(counts.items(), key=lambda it: it[0].coeffs))))
+            # G_k = [x^k] F(x)^N with F_0 = 1, by the power-series power recurrence
+            gs = [point]
+            for k in range(1, m + 1):
+                acc = fs[k].scale(2 ** h * k)  # the j = k term, as G_0 = 1
+                for j in range(1, k):
+                    acc = acc + (fs[j] * gs[k - j]).scale((2 ** h + 1) * j - k)
+                gs.append(acc.scale(Fraction(1, k)))
+            levels.append(LevelComponents(h, ((gs[m], 1),)))
     elif family == "bsu2":
         sphere4 = TruncatedSeries.geometric(bound, 4)
         for h in range(n + 1):

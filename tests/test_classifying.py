@@ -21,7 +21,7 @@ from ratstems.classifying import (FixedPointDiagram, LevelComponents,
                                   collapse_expand, compositions,
                                   fixed_point_data, gm_assemble,
                                   sym_invariants_series, torus_check_su2,
-                                  torus_check_u, weyl_eigendata, _partitions,
+                                  torus_check_u, weyl_eigendata,
                                   _poly_eval, _poly_from_roots)
 from ratstems.mackey import (MINUS, PLUS, MackeyClass, NonSignIsotypicError,
                              classify)
@@ -195,21 +195,14 @@ def test_unitary_diagram_counts():
 def test_unitary_diagram_at_large_m():
     # every weak composition of m into 2^h slots is one component, and
     # each nonzero slot adds one degree-2 class
-    data = fixed_point_data("bu", 5, 2, m=20)
-    for h in range(6):
-        slots = 2 ** h
-        series = data.level(h).total_series()
-        assert series.coeff(0) == math.comb(20 + slots - 1, 20)
-        assert series.coeff(2) == slots * math.comb(19 + slots - 1, 19)
-
-
-def test_partitions_are_the_sorted_compositions():
-    for total in range(8):
-        for most in range(6):
-            want = {tuple(sorted((k for k in comp if k), reverse=True))
-                    for comp in compositions(total, most)}
-            got = list(_partitions(total, most, total))
-            assert len(got) == len(set(got)) and set(got) == want
+    for n, bound, m in [(5, 2, 20), (8, 20, 40)]:
+        data = fixed_point_data("bu", n, bound, m=m)
+        for h in range(n + 1):
+            slots = 2 ** h
+            series = data.level(h).total_series()
+            assert data.level(h).count() == series.coeff(0) == \
+                math.comb(m + slots - 1, m)
+            assert series.coeff(2) == slots * math.comb(m - 1 + slots - 1, m - 1)
 
 
 def test_unitary_diagram_matches_composition_walk():
@@ -218,8 +211,21 @@ def test_unitary_diagram_matches_composition_walk():
             for bound in (0, 1, 2, 3, 8):
                 data = fixed_point_data("bu", n, bound, m=m)
                 for h in range(n + 1):
-                    assert data.level(h).components == \
-                        ref_bu_components(m, 2 ** h, bound)
+                    walk = ref_bu_components(m, 2 ** h, bound)
+                    want = TruncatedSeries.zero(bound)
+                    for series, count in walk:
+                        want = want + series.scale(count)
+                    assert data.level(h).count() == sum(c for _, c in walk)
+                    assert data.level(h).total_series() == want
+
+
+def test_count_is_the_multiplicity_sum():
+    # every component of these families is one summand's connected piece
+    for n in range(7):
+        for data in (fixed_point_data("bs1", n, 6), fixed_point_data("bsigma2", n, 6),
+                     fixed_point_data("bsu2", n, 6), fixed_point_data("torus", n, 6, m=2)):
+            for level in data.levels:
+                assert level.count() == sum(c for _, c in level.components)
 
 
 def test_su2_diagram_counts():
@@ -257,8 +263,11 @@ def test_diagram_errors():
     with pytest.raises(ValueError):
         LevelComponents(0, ()).total_series()
     half = TruncatedSeries.one(4).scale(Fraction(1, 2))
+    diagram = FixedPointDiagram("half", 0, 4, (LevelComponents(0, ((half, 1),)),))
     with pytest.raises(ValueError, match="integral"):
-        gm_assemble(FixedPointDiagram("half", 0, 4, (LevelComponents(0, ((half, 1),)),)))
+        gm_assemble(diagram)
+    with pytest.raises(ValueError, match="component dimensions must be integral"):
+        diagram.level(0).count()
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +385,8 @@ def test_circle_completion_elements():
 # ---------------------------------------------------------------------------
 # Torus comparisons.
 
-@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (4, 4), (5, 3)])
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (4, 4), (5, 3),
+                                 (3, 12), (6, 10)])
 def test_torus_method_holds_for_unitary_groups(n, m):
     check = torus_check_u(n, m, BOUND)
     assert check.holds()

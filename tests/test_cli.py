@@ -13,10 +13,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from ratstems import cli, stems
+from ratstems import classifying, cli, stems
 from ratstems.burnside import BurnsideElement, idempotents
 from ratstems.mackey import MackeyClass, NonSignIsotypicError
 from ratstems.rolattice import VirtualRep
+from ratstems.series import TruncatedSeries
 from ratstems.stems import SectorElement, TupleAmbiguityError
 from test_stems import at, box_degrees
 
@@ -174,6 +175,19 @@ def test_torus_check_um(capsys):
     assert lines[-1] == "verdict=HOLDS"
     assert all("match=yes" in line for line in lines[:-1])
     assert len(lines) == 4
+
+
+def test_torus_check_um_sides_are_independent(capsys, monkeypatch):
+    # with every BU(k) replaced by a circle only the left side changes,
+    # so the check must notice: the right side does not reuse the left
+    def circle(k, bound):
+        return TruncatedSeries.geometric(bound, 2) if k else TruncatedSeries.one(bound)
+
+    monkeypatch.setattr(classifying, "bu_series", circle)
+    status, lines, _ = run_lines(capsys, ["torus-check", "--n", "2", "--lie", "um",
+                                          "--m", "2", "--maxdeg", "8"])
+    assert status == 1
+    assert lines[-1] == "verdict=FAILS"
 
 
 def test_torus_check_su2_documented_failure(capsys):
