@@ -7,10 +7,14 @@ C_{2^h} -> L, each contributing the rational cohomology of a classical
 classifying space (of the centralizer).  ``fixed_point_data`` records
 these diagrams for the built-in families as summands, a series with a
 multiplicity (a U(m) level is one summand, its total series, from a
-generating function), and ``gm_assemble`` turns a diagram into a table
-of Mackey classes: per cohomological degree, each level's summands go
-to ``weyl_eigendata`` as orbits of the residual Weyl action, and the
-resulting eigendata feed ``mackey.classify``.
+generating function; each family builds a level from h alone, so a
+check that needs only the top level builds only that one), and
+``gm_assemble`` turns a diagram into a table of Mackey classes: per
+cohomological degree, each level's summands go to ``weyl_eigendata``
+as orbits of the residual Weyl action, and the resulting eigendata
+feed ``mackey.classify``.  Degrees that present a level with the same
+numerators, or the classifier with the same eigendata column, share
+the answer, so each distinct input is worked out once.
 
 On top of the diagrams sit the comparison checks:
 
@@ -39,9 +43,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .burnside import BurnsideElement
 from .mackey import PLUS, GradedTable, MackeyClass, classify
@@ -81,7 +85,8 @@ class LevelComponents:
     """The fixed-point components at one subgroup level, as summands:
     a cohomology series with a multiplicity.  A summand's series may
     already be a sum over several components; every component is
-    connected, so degree 0 of the total counts the components."""
+    connected, so degree 0 of the total counts the components.
+    ``count`` reads that degree off the series' integer numerators."""
 
     level: int
     components: tuple[tuple[TruncatedSeries, int], ...]
@@ -89,8 +94,7 @@ class LevelComponents:
     def count(self) -> int:
         total = 0
         for series, c in self.components:
-            q = series.coeffs[0]
-            dim, rest = divmod(q.numerator * c, q.denominator)
+            dim, rest = divmod(series.nums[0] * c, series.den)
             if rest:
                 raise ValueError("component dimensions must be integral")
             total += dim
@@ -145,20 +149,25 @@ def fixed_point_data(family: str, n: int, bound: int, m: int = 1) -> FixedPointD
     """
     if n < 0 or bound < 0:
         raise ValueError("need n >= 0 and bound >= 0")
+    level = _family_level(family, bound, m)
+    return FixedPointDiagram(family, n, bound, tuple(map(level, range(n + 1))))
+
+
+def _family_level(family: str, bound: int, m: int) -> Callable[[int], LevelComponents]:
+    """The function h -> LevelComponents of one built-in family, with the
+    series its levels share built once."""
     circle = TruncatedSeries.geometric(bound, 2)
     point = TruncatedSeries.one(bound)
-    levels = []
     if family == "bs1":
-        for h in range(n + 1):
-            levels.append(LevelComponents(h, ((circle, 2 ** h),)))
-    elif family == "bsigma2":
-        for h in range(n + 1):
-            levels.append(LevelComponents(h, ((point, 1 if h == 0 else 2),)))
-    elif family == "bu":
+        return lambda h: LevelComponents(h, ((circle, 2 ** h),))
+    if family == "bsigma2":
+        return lambda h: LevelComponents(h, ((point, 1 if h == 0 else 2),))
+    if family == "bu":
         if m < 1:
             raise ValueError("bu needs m >= 1")
         fs = [bu_series(k, bound) for k in range(m + 1)]
-        for h in range(n + 1):
+
+        def bu_level(h: int) -> LevelComponents:
             # G_k = [x^k] F(x)^N with F_0 = 1, by the power-series power recurrence
             gs = [point]
             for k in range(1, m + 1):
@@ -166,28 +175,26 @@ def fixed_point_data(family: str, n: int, bound: int, m: int = 1) -> FixedPointD
                 for j in range(1, k):
                     acc = acc + (fs[j] * gs[k - j]).scale((2 ** h + 1) * j - k)
                 gs.append(acc.scale(Fraction(1, k)))
-            levels.append(LevelComponents(h, ((gs[m], 1),)))
-    elif family == "bsu2":
+            return LevelComponents(h, ((gs[m], 1),))
+        return bu_level
+    if family == "bsu2":
         sphere4 = TruncatedSeries.geometric(bound, 4)
-        for h in range(n + 1):
+
+        def bsu2_level(h: int) -> LevelComponents:
             if h == 0:
-                comps: tuple = ((sphere4, 1),)
-            elif 2 ** (h - 1) - 1 > 0:
-                comps = ((circle, 2 ** (h - 1) - 1), (sphere4, 2))
-            else:
-                comps = ((sphere4, 2),)
-            levels.append(LevelComponents(h, comps))
-    elif family == "torus":
+                return LevelComponents(h, ((sphere4, 1),))
+            if h == 1:
+                return LevelComponents(h, ((sphere4, 2),))
+            return LevelComponents(h, ((circle, 2 ** (h - 1) - 1), (sphere4, 2)))
+        return bsu2_level
+    if family == "torus":
         if m < 1:
             raise ValueError("torus needs m >= 1")
         block = circle
         for _ in range(m - 1):
             block = block * circle
-        for h in range(n + 1):
-            levels.append(LevelComponents(h, ((block, (2 ** h) ** m),)))
-    else:
-        raise ValueError(f"unknown classifying-space family {family!r}")
-    return FixedPointDiagram(family, n, bound, tuple(levels))
+        return lambda h: LevelComponents(h, ((block, (2 ** h) ** m),))
+    raise ValueError(f"unknown classifying-space family {family!r}")
 
 
 def weyl_eigendata(orbits: Iterable[tuple[TruncatedSeries, int, int, int]],
@@ -206,8 +213,9 @@ def weyl_eigendata(orbits: Iterable[tuple[TruncatedSeries, int, int, int]],
     for series, size, sign, count in orbits:
         if sign not in (1, -1) or size < 1:
             raise ValueError("orbit needs size >= 1 and sign +-1")
-        q = series.coeff(degree)
-        dim, rest = divmod(q.numerator * count, q.denominator)
+        if not 0 <= degree <= series.bound:
+            raise ValueError(f"degree {degree} outside series window [0, {series.bound}]")
+        dim, rest = divmod(series.nums[degree] * count, series.den)
         if rest:
             raise ValueError("component dimensions must be integral")
         p = dim if sign == 1 else 0
@@ -225,12 +233,38 @@ def gm_assemble(diagram: FixedPointDiagram) -> GradedTable:
     fixed-point dimension there, i.e. the multiplicity of the simple
     born at level h; the residual action is trivial for all built-in
     families, so every component is an orbit of size 1 with sign +1.
+
+    The walk is degree by degree, level by level, so the first error
+    raised is the one at the lowest degree and level.  Degrees where a
+    level's components have equal numerators share that level's
+    eigendata, so ``weyl_eigendata`` runs once per level and distinct
+    numerator tuple (twice for a circle level, whatever the bound), and
+    ``classify`` once per distinct column of eigendata.
     """
+    bound = diagram.bound
+    keys = []
+    for level in diagram.levels:
+        # each degree's tuple of component numerators; None marks a degree
+        # past a component's window, where weyl_eigendata raises
+        per_degree = list(zip_longest(*(s.nums[:bound + 1] for s, _ in level.components)))
+        keys.append(per_degree + [None] * (bound + 1 - len(per_degree)))
+    eigen_memos: list[dict] = [{} for _ in diagram.levels]
+    class_memo: dict = {}
     classes = {}
-    for d in range(diagram.bound + 1):
-        eigen = [weyl_eigendata([(series, 1, 1, count) for series, count in level.components], d)
-                 for level in diagram.levels]
-        classes[d] = classify(diagram.n, eigen)
+    for d in range(bound + 1):
+        column = []
+        for level, level_keys, memo in zip(diagram.levels, keys, eigen_memos):
+            key = level_keys[d]
+            eigen = memo.get(key)
+            if eigen is None:
+                eigen = memo[key] = weyl_eigendata(
+                    [(s, 1, 1, count) for s, count in level.components], d)
+            column.append(eigen)
+        column = tuple(column)
+        cls = class_memo.get(column)
+        if cls is None:
+            cls = class_memo[column] = classify(diagram.n, column)
+        classes[d] = cls
     return GradedTable.from_dict(diagram.n, classes)
 
 
@@ -377,8 +411,8 @@ def torus_check_su2(n: int, action: str = "trivial") -> TorusCheckSU2:
         raise ValueError("the SU(2) comparison needs n >= 1")
     if action not in ("trivial", "permutation"):
         raise ValueError(f"unknown torus action treatment {action!r}")
-    lhs = fixed_point_data("bsu2", n, 0).level(n).count()
-    labels = fixed_point_data("torus", n, 0, m=1).level(n).count()
+    lhs = _family_level("bsu2", 0, 1)(n).count()
+    labels = _family_level("torus", 0, 1)(n).count()
     if action == "trivial":
         rhs = labels
     else:

@@ -1,16 +1,22 @@
 """Truncated power series with exact rational coefficients.
 
 Every series carries a fixed truncation bound; coefficients above the
-bound are discarded by all operations.  Two series are equal when they
-have the same bound and agree coefficientwise.  Arithmetic never leaves
-``fractions.Fraction``, so identities such as ``(1 - t^2) * 1/(1 - t^2)
-== 1`` hold exactly inside the window.
+bound are discarded by all operations.  A series is stored as integer
+numerators ``nums`` over one positive denominator ``den``, reduced so
+that ``gcd(den, *nums) == 1`` (the zero series has ``den == 1``); that
+form is unique, so two series are equal exactly when they have the same
+bound, denominator and numerators.  Sums, scalings, products,
+truncations and substitutions all run on those integers, and
+``fractions.Fraction`` appears only when ``coeffs`` or ``coeff`` reads a
+coefficient, so identities such as ``(1 - t^2) * 1/(1 - t^2) == 1`` hold
+exactly inside the window.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from itertools import islice
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 
@@ -33,20 +39,42 @@ def _numerators(coeffs: Sequence[Fraction | int]) -> tuple[int, list[int]]:
 
 
 class TruncatedSeries:
-    """A power series in one variable t, truncated above degree ``bound``."""
+    """A power series in one variable t, truncated above degree ``bound``:
+    coefficient k is ``nums[k] / den``."""
 
-    __slots__ = ("bound", "coeffs")
+    __slots__ = ("bound", "den", "nums", "_coeffs")
 
     def __init__(self, bound: int, coeffs: Iterable[Fraction | int] = ()):
         if bound < 0:
             raise ValueError("series bound must be >= 0")
-        cs = [_ZERO] * (bound + 1)
-        for k, q in enumerate(coeffs):
-            if k > bound:
-                break
-            cs[k] = q if type(q) is Fraction else _exact(q, "series coefficients")
+        nums = list(islice(coeffs, bound + 1))
+        den = 1
+        if set(map(type, nums)) - {int}:
+            for q in nums:
+                if type(q) is not Fraction and type(q) is not int:
+                    _exact(q, "series coefficients")
+            # the lcm of reduced denominators leaves no factor common to
+            # all numerators, so this form is already the reduced one
+            den, nums = _numerators(nums)
+        nums.extend([0] * (bound + 1 - len(nums)))
+        self._init(bound, den, tuple(nums))
+
+    def _init(self, bound: int, den: int, nums: tuple[int, ...]) -> None:
         object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+
+    @classmethod
+    def _reduced(cls, bound: int, den: int, nums: Sequence[int]) -> "TruncatedSeries":
+        """The series nums/den with den > 0, divided through by gcd(den, *nums)."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = [a // g for a in nums]
+        out = object.__new__(cls)
+        out._init(bound, den, tuple(nums))
+        return out
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("TruncatedSeries is immutable")
@@ -64,13 +92,25 @@ class TruncatedSeries:
         """The series 1/(1 - t^step) = 1 + t^step + t^(2 step) + ..."""
         if step <= 0:
             raise ValueError("geometric step must be >= 1")
-        cs = [Fraction(1) if k % step == 0 else Fraction(0) for k in range(bound + 1)]
-        return cls(bound, cs)
+        nums = [0] * (bound + 1)
+        nums[::step] = [1] * (bound // step + 1)
+        return cls(bound, nums)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients 0..bound as Fractions, built on first read."""
+        try:
+            return self._coeffs
+        except AttributeError:
+            den = self.den
+            coeffs = tuple(Fraction(a, den) for a in self.nums)
+            object.__setattr__(self, "_coeffs", coeffs)
+            return coeffs
 
     def coeff(self, k: int) -> Fraction:
         if not 0 <= k <= self.bound:
             raise ValueError(f"degree {k} outside series window [0, {self.bound}]")
-        return self.coeffs[k]
+        return Fraction(self.nums[k], self.den)
 
     def _check(self, other: "TruncatedSeries") -> None:
         if not isinstance(other, TruncatedSeries):
@@ -80,65 +120,71 @@ class TruncatedSeries:
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        return TruncatedSeries(self.bound, (a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            nums = [x + y for x, y in zip(self.nums, other.nums)]
+        else:
+            den = lcm(da, db)
+            fa, fb = den // da, den // db
+            nums = [x * fa + y * fb for x, y in zip(self.nums, other.nums)]
+            da = den
+        return TruncatedSeries._reduced(self.bound, da, nums)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check(other)
-        # over common denominators the convolution runs on integers, and
-        # each output coefficient becomes one Fraction at the end
-        da, a = _numerators(self.coeffs)
-        db, b = _numerators(other.coeffs)
-        terms = [(j, y) for j, y in enumerate(b) if y]
+        terms = [(j, y) for j, y in enumerate(other.nums) if y]
         acc = [0] * (self.bound + 1)
-        for i, x in enumerate(a):
+        for i, x in enumerate(self.nums):
             if x:
                 for j, y in terms:
                     if i + j > self.bound:
                         break
                     acc[i + j] += x * y
-        den = da * db
-        return TruncatedSeries(self.bound, [Fraction(v, den) if v else _ZERO for v in acc])
+        return TruncatedSeries._reduced(self.bound, self.den * other.den, acc)
 
     def scale(self, q: Fraction | int) -> "TruncatedSeries":
-        q = _exact(q, "scale factor")
-        return TruncatedSeries(self.bound, (q * a for a in self.coeffs))
+        if type(q) is not int:
+            q = _exact(q, "scale factor")
+        p, r = q.numerator, q.denominator
+        return TruncatedSeries._reduced(self.bound, self.den * r, [p * a for a in self.nums])
 
     def truncate(self, bound: int) -> "TruncatedSeries":
         """Shrink the window.  The bound may only decrease; growing it
         would invent zero coefficients the series never promised."""
         if bound > self.bound:
             raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(bound, self.coeffs[: bound + 1])
+        return TruncatedSeries._reduced(bound, self.den, self.nums[: bound + 1])
 
     def substitute_power(self, r: int) -> "TruncatedSeries":
         """Return the series P(t^r), truncated at the same bound."""
         if r <= 0:
             raise ValueError("substitution power must be >= 1")
-        cs = [Fraction(0)] * (self.bound + 1)
-        for k, a in enumerate(self.coeffs):
-            if a != 0 and k * r <= self.bound:
-                cs[k * r] = a
-        return TruncatedSeries(self.bound, cs)
+        nums = [0] * (self.bound + 1)
+        nums[::r] = self.nums[: self.bound // r + 1]
+        return TruncatedSeries._reduced(self.bound, self.den, nums)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.bound == other.bound and self.coeffs == other.coeffs
+        return (self.bound == other.bound and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash((self.bound, self.coeffs))
+        return hash((self.bound, self.den, self.nums))
 
     def __str__(self) -> str:
+        den = self.den
         terms = []
-        for k, a in enumerate(self.coeffs):
-            if a == 0:
+        for k, a in enumerate(self.nums):
+            if not a:
                 continue
-            if k == 0:
-                terms.append(str(a))
-            elif a == 1:
+            if k and a == den:
                 terms.append(f"t^{k}")
-            else:
-                terms.append(f"{a}*t^{k}")
+                continue
+            # the coefficient as str(Fraction(a, den)) prints it
+            g = gcd(a, den)
+            q = str(a // g) if g == den else f"{a // g}/{den // g}"
+            terms.append(q if k == 0 else f"{q}*t^{k}")
         body = " + ".join(terms) if terms else "0"
         return f"{body} + O(t^{self.bound + 1})"
 

@@ -3,8 +3,9 @@
 Independent oracles come first: a recursive composition enumerator, a
 partition-counting reference for the BU(k) series, a walk over every
 composition for the BU(m) diagram, and a brute-force multiset
-enumeration for symmetric invariants.  The assembled tables
-and the comparison verdicts are then pinned against frozen values.
+enumeration for symmetric invariants.  A per-degree, per-level
+assembly loop referees ``gm_assemble``.  The assembled tables and the
+comparison verdicts are then pinned against frozen values.
 """
 
 import math
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ratstems.burnside import BurnsideElement
+from ratstems import classifying
 from ratstems.classifying import (FixedPointDiagram, LevelComponents,
                                   TorusCheckU, bgs1_presentation,
                                   bsigma2_consistency, bu_series, collapse,
@@ -23,8 +25,8 @@ from ratstems.classifying import (FixedPointDiagram, LevelComponents,
                                   sym_invariants_series, torus_check_su2,
                                   torus_check_u, weyl_eigendata,
                                   _poly_eval, _poly_from_roots)
-from ratstems.mackey import (MINUS, PLUS, MackeyClass, NonSignIsotypicError,
-                             classify)
+from ratstems.mackey import (MINUS, PLUS, GradedTable, MackeyClass,
+                             NonSignIsotypicError, classify)
 from ratstems.rolattice import VirtualRep, parse_degree
 from ratstems.series import TruncatedSeries
 from ratstems.stems import stem_at
@@ -81,6 +83,17 @@ def ref_sym_series(component_series, m, bound):
         if total <= bound:
             counts[total] += 1
     return TruncatedSeries(bound, counts)
+
+
+def ref_gm_assemble(diagram):
+    """Assembly by its definition: one weyl_eigendata call per degree and
+    level, and one classify call per degree."""
+    classes = {}
+    for d in range(diagram.bound + 1):
+        eigen = [weyl_eigendata([(series, 1, 1, count) for series, count in level.components], d)
+                 for level in diagram.levels]
+        classes[d] = classify(diagram.n, eigen)
+    return GradedTable.from_dict(diagram.n, classes)
 
 
 def poly_eval(coeffs, x):
@@ -302,6 +315,69 @@ def test_assemble_level_dims_accumulate():
             assert cls.level_dim(h) == want
 
 
+def assembly_outcome(assemble, diagram):
+    try:
+        return assemble(diagram)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_assemble_matches_reference():
+    for n in range(6):
+        for bound in (0, 1, 7, 30):
+            diagrams = [fixed_point_data(family, n, bound)
+                        for family in ("bs1", "bsigma2", "bsu2")]
+            diagrams += [fixed_point_data(family, n, bound, m=m)
+                         for family in ("bu", "torus") for m in (1, 2, 3)]
+            for diagram in diagrams:
+                assert gm_assemble(diagram) == ref_gm_assemble(diagram), \
+                    (diagram.name, n, bound)
+
+
+def test_assemble_raises_the_reference_first_error():
+    half = TruncatedSeries.one(4).scale(Fraction(1, 2))
+    negative = TruncatedSeries(4, [1, 0, -1])
+    late_half = TruncatedSeries(4, [1, Fraction(1, 2)])
+    late_negative = TruncatedSeries(4, [1, -1])
+    short = TruncatedSeries.one(2)
+    circle = TruncatedSeries.geometric(4, 2)
+    cases = [
+        [((half, 1),)],
+        [((negative, 1),)],
+        [((circle, 1), (negative, 2))],
+        [((circle, -1),)],
+        [((short, 1),)],
+        # an error at a lower degree wins over one at a lower level
+        [((late_half, 1),), ((negative, 1),)],
+        [((late_negative, 1),), ((half, 1),)],
+        [((late_half, 1),), ((late_negative, 1),)],
+        [((late_negative, 1),), ((late_half, 1),)],
+        [((circle, 1),), ((short, 1),), ((late_half, 1),)],
+    ]
+    for levels in cases:
+        diagram = FixedPointDiagram("hand", len(levels) - 1, 4, tuple(
+            LevelComponents(h, comps) for h, comps in enumerate(levels)))
+        want = assembly_outcome(ref_gm_assemble, diagram)
+        assert isinstance(want, tuple), levels
+        assert assembly_outcome(gm_assemble, diagram) == want
+
+
+def test_assemble_reads_each_distinct_column_once(monkeypatch):
+    # looked up as module globals, so a rebound name is the one called
+    calls = {"weyl_eigendata": 0, "classify": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(classifying, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(classifying, name, counted)
+    n, bound = 3, 30
+    table = gm_assemble(fixed_point_data("bs1", n, bound))
+    # each circle level has two numerator tuples (even and odd degrees),
+    # and the degrees give two columns
+    assert calls == {"weyl_eigendata": 2 * (n + 1), "classify": 2}
+    assert table == ref_gm_assemble(fixed_point_data("bs1", n, bound))
+
+
 def test_weyl_eigendata():
     one = TruncatedSeries.one(4)
     # a fixed component with orientation-reversing return map
@@ -419,6 +495,10 @@ def test_su2_with_folded_components():
         check = torus_check_su2(n, action="permutation")
         assert check.lhs == check.rhs == 2 ** (n - 1) + 1
         assert check.holds()
+    # only the top level is built, so a large n answers at once
+    check = torus_check_su2(5000, action="permutation")
+    assert check.lhs == check.rhs == 2 ** 4999 + 1
+    assert torus_check_su2(5000).rhs == 2 ** 5000
     with pytest.raises(ValueError):
         torus_check_su2(2, action="galois")
     with pytest.raises(ValueError):
