@@ -11,10 +11,11 @@ generating function; each family builds a level from h alone, so a
 check that needs only the top level builds only that one), and
 ``gm_assemble`` turns a diagram into a table of Mackey classes: per
 cohomological degree, each level's summands go to ``weyl_eigendata``
-as orbits of the residual Weyl action, and the resulting eigendata
-feed ``mackey.classify``.  Degrees that present a level with the same
-numerators, or the classifier with the same eigendata column, share
-the answer, so each distinct input is worked out once.
+as orbits of the residual Weyl action (``LevelComponents.eigendata``
+owns the rule that every built-in orbit is trivial), and the resulting
+eigendata feed ``mackey.classify``.  Degrees whose levels present the
+same numerators share one column, and one memo works out each distinct
+column once.
 
 On top of the diagrams sit the comparison checks:
 
@@ -47,7 +48,7 @@ from itertools import combinations, zip_longest
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .burnside import BurnsideElement
+from .burnside import BurnsideElement, transferred_tops
 from .mackey import PLUS, GradedTable, MackeyClass, classify
 from .series import TruncatedSeries, _exact, _numerators
 
@@ -85,20 +86,19 @@ class LevelComponents:
     """The fixed-point components at one subgroup level, as summands:
     a cohomology series with a multiplicity.  A summand's series may
     already be a sum over several components; every component is
-    connected, so degree 0 of the total counts the components.
-    ``count`` reads that degree off the series' integer numerators."""
+    connected, so degree 0 of the total counts the components."""
 
     level: int
     components: tuple[tuple[TruncatedSeries, int], ...]
 
+    def eigendata(self, degree: int) -> tuple[int, int, int]:
+        """``weyl_eigendata`` of the level in one degree.  The residual
+        action is trivial for all built-in families, so every component
+        is an orbit of size 1 with sign +1."""
+        return weyl_eigendata([(s, 1, 1, c) for s, c in self.components], degree)
+
     def count(self) -> int:
-        total = 0
-        for series, c in self.components:
-            dim, rest = divmod(series.nums[0] * c, series.den)
-            if rest:
-                raise ValueError("component dimensions must be integral")
-            total += dim
-        return total
+        return self.eigendata(0)[0]
 
     def total_series(self) -> TruncatedSeries:
         out = None
@@ -231,15 +231,14 @@ def gm_assemble(diagram: FixedPointDiagram) -> GradedTable:
 
     In each degree the component dimension at level h is the geometric
     fixed-point dimension there, i.e. the multiplicity of the simple
-    born at level h; the residual action is trivial for all built-in
-    families, so every component is an orbit of size 1 with sign +1.
+    born at level h; ``LevelComponents.eigendata`` reads it off.
 
-    The walk is degree by degree, level by level, so the first error
-    raised is the one at the lowest degree and level.  Degrees where a
-    level's components have equal numerators share that level's
-    eigendata, so ``weyl_eigendata`` runs once per level and distinct
-    numerator tuple (twice for a circle level, whatever the bound), and
-    ``classify`` once per distinct column of eigendata.
+    Degrees whose levels present the same component numerators share a
+    column, and one memo keyed by that column runs the levels'
+    eigendata and ``classify`` once per distinct column (twice for a
+    circle diagram, whatever the bound).  The walk is degree by degree,
+    level by level, so the first error raised is the one at the lowest
+    degree and level.
     """
     bound = diagram.bound
     keys = []
@@ -248,22 +247,13 @@ def gm_assemble(diagram: FixedPointDiagram) -> GradedTable:
         # past a component's window, where weyl_eigendata raises
         per_degree = list(zip_longest(*(s.nums[:bound + 1] for s, _ in level.components)))
         keys.append(per_degree + [None] * (bound + 1 - len(per_degree)))
-    eigen_memos: list[dict] = [{} for _ in diagram.levels]
-    class_memo: dict = {}
+    memo: dict = {}
     classes = {}
-    for d in range(bound + 1):
-        column = []
-        for level, level_keys, memo in zip(diagram.levels, keys, eigen_memos):
-            key = level_keys[d]
-            eigen = memo.get(key)
-            if eigen is None:
-                eigen = memo[key] = weyl_eigendata(
-                    [(s, 1, 1, count) for s, count in level.components], d)
-            column.append(eigen)
-        column = tuple(column)
-        cls = class_memo.get(column)
+    for d, column in enumerate(zip(*keys)):
+        cls = memo.get(column)
         if cls is None:
-            cls = class_memo[column] = classify(diagram.n, column)
+            cls = memo[column] = classify(
+                diagram.n, [level.eigendata(d) for level in diagram.levels])
         classes[d] = cls
     return GradedTable.from_dict(diagram.n, classes)
 
@@ -302,14 +292,9 @@ def bgs1_presentation(n: int, bound: int) -> CirclePresentation:
         "sum over j = 1..2^m of u[m,j] = the completion element of "
         "conductor m (the sum includes the one omitted class)",
     )
-    completion = []
-    for m in range(1, n + 1):
-        elem = BurnsideElement.y(n, m)
-        for _ in range(n - m):
-            elem = elem.tr()
-        completion.append((m, elem.scale(Fraction(1, 2 ** m))))
-    return CirclePresentation(n, bound, tuple(degrees), relations,
-                              tuple(completion), table)
+    completion = tuple((m, transferred_tops(n, n, [(m, Fraction(1, 2 ** m))]))
+                       for m in range(1, n + 1))
+    return CirclePresentation(n, bound, tuple(degrees), relations, completion, table)
 
 
 def _circle_table(n: int, bound: int) -> GradedTable:
@@ -446,15 +431,12 @@ def bsigma2_consistency(n: int, bound: int = 6) -> SigmaTwoComparison:
     second quotients the circle answer by the ideal of the degree-2
     Euler class w: multiplication by w shifts the presentation basis
     bijectively, so the ideal is everything above degree 0 and the
-    quotient is the degree-0 class alone.  The two disagree at levels
+    quotient is the circle table's degree-0 class alone (``_circle_table``
+    puts that class in every even degree).  The two disagree at levels
     h >= 2 (dimension 1+2h against 2^(h+1)-1); both are reported.
     """
     assembled = gm_assemble(fixed_point_data("bsigma2", n, bound))
-    circle = _circle_table(n, bound)
-    for d in range(0, bound - 1, 2):
-        if circle.get(d + 2) != circle.get(d):
-            raise ValueError("circle table is not w-periodic; quotient model invalid")
-    quotient = GradedTable.from_dict(n, {0: circle.get(0)})
+    quotient = _circle_table(n, 0)
     diffs = []
     for d in sorted(set(assembled.degrees()) | set(quotient.degrees())):
         dims = zip(assembled.get(d).level_dims(), quotient.get(d).level_dims())

@@ -345,18 +345,8 @@ class SectorMonomial:
             raise ValueError("degree has the wrong ambient exponent")
         if v.fixed_dim(sector) != 0:
             raise ValueError(f"sector {sector} does not occupy degree {v}")
-        exps: list[tuple[tuple, int]] = []
-        if sector < m:
-            exps.append((_US, -v.s))
-            for k in range(sector, m - 1):
-                exps.append((_ul(k), -v.c[k]))
-            for k in range(sector):
-                exps.append((_al(k), -v.c[k]))
-        else:
-            exps.append((_AS, -v.s))
-            for k in range(max(m - 1, 0)):
-                exps.append((_al(k), -v.c[k]))
-        return cls(m, sector, tuple(exps))
+        return cls(m, sector, tuple((key, -(v.s if key in (_US, _AS) else v.c[key[1]]))
+                                    for key in sector_alphabet(m, sector)))
 
     def __str__(self) -> str:
         parts = []

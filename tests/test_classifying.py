@@ -9,6 +9,7 @@ comparison verdicts are then pinned against frozen values.
 """
 
 import math
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -456,6 +457,18 @@ def test_circle_completion_elements():
         assert marks == tuple(want if h == m else 0 for h in range(n + 1))
         # and dies under restriction below its conductor
         assert all(q == 0 for q in completion[m].res(m - 1).coeffs)
+
+
+def test_circle_presentation_counts_its_table():
+    # at level h the degree-0 ring has the h + 1 Burnside classes and the
+    # u[m,j] of conductor m <= h: 2^(h+1) - 1 classes, the table's dimension
+    for n in range(1, 9):
+        pres = bgs1_presentation(n, 0)
+        conductors = [int(re.fullmatch(r"u\[(\d+),\d+\]", name).group(1))
+                      for name, degree in pres.degrees if degree == 0]
+        dims = pres.table.get(0).level_dims()
+        for h in range(n + 1):
+            assert h + 1 + sum(m <= h for m in conductors) == dims[h] == 2 ** (h + 1) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -706,6 +706,20 @@ def test_presentation_relations():
         point_presentation(0)
 
 
+def test_presentation_degrees_carry_the_stems():
+    # the generators of one degree span the stem there, and their inverse
+    # partners the stem at the negated degree, by each of the three methods
+    for n in range(1, 51):
+        spans = {}
+        for g in point_presentation(n).generators:
+            spans.setdefault(g.degree, []).append((g.sector, g.sign, 1))
+        for v, entries in spans.items():
+            want = MackeyClass(n, tuple(entries))
+            for name, column in STEM_METHODS.items():
+                assert at(column, v) == want, (n, str(v), name)
+                assert at(column, -v) == want, (n, str(-v), name)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fixed_point_lattices_match_stems(n):
     rings = fixed_point_rings(n)
