@@ -63,15 +63,17 @@ def compare_methods(n: int, bound: int, methods: Mapping[str, Column] | None = N
     table = dict(STEM_METHODS if methods is None else methods)
     if not table:
         raise ValueError("need at least one method")
+    columns = list(table.values())
     window = range(-bound, bound + 1)
     zero = MackeyClass.zero(n)
     disagreements = []
     for s, c in box_columns(n, bound):
-        answers = {name: column(n, s, c) for name, column in table.items()}
-        if _agree(answers):
+        found = [column(n, s, c) for column in columns]
+        if found.count(found[0]) == len(found):
             continue
-        for d in sorted({d for found in answers.values() for d in found if d in window}):
-            results = {name: found.get(d, zero) for name, found in answers.items()}
+        answers = dict(zip(table, found))
+        for d in sorted({d for stems_by_d in found for d in stems_by_d if d in window}):
+            results = {name: stems_by_d.get(d, zero) for name, stems_by_d in answers.items()}
             if not _agree(results):
                 disagreements.append((VirtualRep(n, d, s, c), results))
     disagreements.sort(key=lambda item: (item[0].d, item[0].s, item[0].c))
@@ -281,11 +283,17 @@ def cmd_sphere(args: argparse.Namespace) -> tuple[list[dict], int]:
 
 def cmd_point_presentation(args: argparse.Namespace) -> tuple[list[dict], int]:
     pres = point_presentation(args.n)
-    records = [{"command": "point-presentation", "kind": "generator",
-                "family": g.family, "sector": g.sector,
-                "lam_index": g.lam_index, "degree": str(g.degree),
-                "name": g.name, "partner": g.partner, "spans": g.spans()}
-               for g in pres.generators]
+    # a degree takes O(n) to format and the generators of one degree are
+    # consecutive, so each distinct degree is formatted once
+    degree, text = None, ""
+    records = []
+    for g in pres.generators:
+        if g.degree is not degree:
+            degree, text = g.degree, str(g.degree)
+        records.append({"command": "point-presentation", "kind": "generator",
+                        "family": g.family, "sector": g.sector,
+                        "lam_index": g.lam_index, "degree": text,
+                        "name": g.name, "partner": g.partner, "spans": g.spans()})
     records += [{"command": "point-presentation", "kind": "relation", "relation": rel}
                 for rel in pres.relations]
     records.append({"command": "point-presentation", "kind": "summary",

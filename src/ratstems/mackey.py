@@ -20,6 +20,7 @@ the third slot is always zero; a nonzero value is a hard error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import Mapping, Sequence
 
@@ -174,6 +175,12 @@ def classify(n: int, eigendata: Sequence[tuple[int, int, int]]) -> MackeyClass:
     return MackeyClass(n, tuple(entries))
 
 
+# The MackeyClass constructor behind a bounded cache, for the classes that
+# GradedTable.box builds: the sphere tables' box products repeat a few
+# dozen distinct classes.  An invalid entry tuple raises and is not cached.
+_box_class = lru_cache(maxsize=1024)(MackeyClass)
+
+
 @dataclass(frozen=True)
 class GradedTable:
     """A finitely supported table of MackeyClasses over integer degrees."""
@@ -182,23 +189,36 @@ class GradedTable:
     entries: tuple[tuple[int, MackeyClass], ...] = ()
 
     def __post_init__(self) -> None:
-        # a degree with one class keeps it; several become one class
-        # built from their concatenated entries
-        grouped: dict[int, list[MackeyClass]] = {}
+        # degrees strictly increasing with nonzero classes are already the
+        # normal form, as box, shift and the sphere tables build them
+        in_order = True
+        prev = None
         for degree, cls in self.entries:
             if cls.n != self.n:
                 raise ValueError("class and table ambient exponents differ")
-            grouped.setdefault(degree, []).append(cls)
-        normal = []
-        for degree in sorted(grouped):
-            classes = grouped[degree]
-            cls = classes[0] if len(classes) == 1 else MackeyClass(
-                self.n, tuple(e for c in classes for e in c.entries))
-            if cls.entries:
-                normal.append((degree, cls))
-        object.__setattr__(self, "entries", tuple(normal))
-        # not a field: a table's identity is its entries
+            if in_order and (not cls.entries or (prev is not None and prev >= degree)):
+                in_order = False
+            prev = degree
+        if in_order:
+            normal = self.entries
+        else:
+            # a degree with one class keeps it; several become one class
+            # built from their concatenated entries
+            grouped: dict[int, list[MackeyClass]] = {}
+            for degree, cls in self.entries:
+                grouped.setdefault(degree, []).append(cls)
+            normal = []
+            for degree in sorted(grouped):
+                classes = grouped[degree]
+                cls = classes[0] if len(classes) == 1 else MackeyClass(
+                    self.n, tuple(e for c in classes for e in c.entries))
+                if cls.entries:
+                    normal.append((degree, cls))
+            normal = tuple(normal)
+            object.__setattr__(self, "entries", normal)
+        # not fields: a table's identity is its entries
         object.__setattr__(self, "_by_degree", dict(normal))
+        object.__setattr__(self, "_by_level", None)
 
     @classmethod
     def from_dict(cls, n: int, classes: Mapping[int, MackeyClass]) -> "GradedTable":
@@ -211,30 +231,41 @@ class GradedTable:
     def degrees(self) -> tuple[int, ...]:
         return tuple(d for d, _ in self.entries)
 
+    def _level_index(self) -> dict[int, list[tuple[int, int, int]]]:
+        """The entries grouped by level: level -> [(degree, sign, mult)],
+        built on first use and kept on the table."""
+        if self._by_level is None:
+            by_level: dict[int, list[tuple[int, int, int]]] = {}
+            for d, cls in self.entries:
+                for j, sign, mult in cls.entries:
+                    by_level.setdefault(j, []).append((d, sign, mult))
+            object.__setattr__(self, "_by_level", by_level)
+        return self._by_level
+
     def box(self, other: "GradedTable") -> "GradedTable":
         """Degreewise box product (Kunneth rule for smash products)."""
         if other.n != self.n:
             raise ValueError("ambient group exponents differ")
-        # M_i^a box M_j^b vanishes unless i == j, so group the other
-        # side by level once and pair each entry only with its own level
-        by_level: dict[int, list[tuple[int, int, int]]] = {}
-        for d2, c2 in other.entries:
-            for j, s2, m2 in c2.entries:
-                by_level.setdefault(j, []).append((d2, s2, m2))
+        # M_i^a box M_j^b vanishes unless i == j, so each entry pairs only
+        # with the other side's entries of its own level
+        by_level = other._level_index()
         out: dict[int, list[tuple[int, int, int]]] = {}
         for d1, c1 in self.entries:
             for i, s1, m1 in c1.entries:
                 for d2, s2, m2 in by_level.get(i, ()):
                     out.setdefault(d1 + d2, []).append((i, s1 * s2, m1 * m2))
-        return GradedTable(self.n, tuple((d, MackeyClass(self.n, tuple(es)))
-                                         for d, es in out.items()))
+        # degrees in order and each degree's entries sorted: the table is
+        # built in normal form, and so is each class unless a summand repeats
+        n = self.n
+        return GradedTable(n, tuple([(d, _box_class(n, tuple(sorted(summands))))
+                                     for d, summands in sorted(out.items())]))
 
     def shift(self, d: int) -> "GradedTable":
         return GradedTable(self.n, tuple((deg + d, c) for deg, c in self.entries))
 
     def dual(self) -> "GradedTable":
         """Degrees negate; classes are self-dual."""
-        return GradedTable(self.n, tuple((-deg, c) for deg, c in self.entries))
+        return GradedTable(self.n, tuple((-deg, c) for deg, c in reversed(self.entries)))
 
     def poincare(self, h: int, bound: int):
         """Poincare series of the level-h values; needs degrees >= 0."""

@@ -10,8 +10,9 @@ in d, listing the column's nonzero stems by d:
   (j_0..j_{n-1}, j'_0..j'_{n-1}) that decompose a degree, whose entries
   split at a cut position (restrictions before the cut, order-vanishing
   after it): the summands are M_i for k'(t) < i <= k(t), signed by the
-  parity of j_{n-1}.  One O(n) cut walk finds the runs of the whole
-  column without building the tuples (``decode_degree`` builds them).
+  parity of j_{n-1}.  One O(n) cut walk gives each d of the column
+  the bitmask of the sectors its runs cover, without building the
+  tuples (``decode_degree`` reads them back from the mask's runs).
 * ``sector_column`` tests, sector by sector, the lattice membership
   equations of the monomial model of the point: sector i < n occupies
   the degrees with d = -s - 2*(c_i + ... + c_{n-2}), sector n the
@@ -91,38 +92,53 @@ class StemTuple:
         return range(self.k_prime() + 1, self.k() + 1)
 
 
-def _cut_runs(n: int, s: int, c: tuple[int, ...]) -> dict[int, list[range]]:
-    """The cut walk of one d-column: for each d, the sector runs of the
-    tuples that decompose the degree (d, s, c), last run first.
+def _cut_masks(n: int, s: int, c: tuple[int, ...]) -> dict[int, int]:
+    """The cut walk of one d-column: for each d, the sectors covered by
+    the runs of the tuples that decompose the degree (d, s, c), as a
+    bitmask (bit i for sector i).
 
     Positions below a cut take the j'-assignment, positions at or above
     it the j-assignment, with per-position totals forced by s and c.
     The cut lands at the trivial part d of its j-assignment; its run is
-    range(cut, k + 1), k the first nonzero total at or past the cut (n
+    the sectors cut..k, k the first nonzero total at or past the cut (n
     if none), and a cut past a zero total repeats the cut before it.
     One suffix scan gives both in O(n), without building j or j'.  The
-    runs at one d are provably disjoint, which is asserted here.
+    runs at one d are provably disjoint, which is asserted here, and
+    never adjacent, so each is a maximal run of its mask's bits.
     """
     totals = [-ck for ck in c] + ([-s] if n >= 1 else [])
-    found: dict[int, list[range]] = {}
+    found: dict[int, int] = {}
     d, k = 0, n
     for cut in range(n, -1, -1):
         if cut < n:
             d += totals[cut] if cut == n - 1 else 2 * totals[cut]
             k = cut if totals[cut] != 0 else k
         if cut == 0 or totals[cut - 1] != 0:
-            runs = found.setdefault(d, [])
-            if runs and runs[-1].start <= k:
+            mask = found.get(d, 0)
+            run = (2 << k) - (1 << cut)
+            if mask & run:
                 raise TupleAmbiguityError(
                     f"degree {VirtualRep(n, d, s, c)}: tuples with overlapping sector "
-                    f"runs {list(range(cut, k + 1))} and {list(runs[-1])}")
-            runs.append(range(cut, k + 1))
+                    f"runs {list(range(cut, k + 1))} and {list(_mask_runs(mask)[0])}")
+            found[d] = mask | run
     return found
+
+
+def _mask_runs(mask: int) -> list[range]:
+    """The maximal runs of set bits of mask, lowest first."""
+    runs = []
+    while mask:
+        low = (mask & -mask).bit_length() - 1
+        above = mask >> low
+        length = (~above & (above + 1)).bit_length() - 1
+        runs.append(range(low, low + length))
+        mask ^= ((1 << length) - 1) << low
+    return runs
 
 
 def decode_degree(v: VirtualRep) -> tuple[StemTuple, ...]:
     """All valid tuples decomposing the degree v, sorted by sector run:
-    one per cut that ``_cut_runs`` lands at v.d.
+    one per maximal run of the mask that ``_cut_masks`` gives v.d.
 
     A degree can decode to more than one tuple (the occupied sectors
     then form several runs separated by gaps, e.g. l0 - 2*sigma at
@@ -133,7 +149,7 @@ def decode_degree(v: VirtualRep) -> tuple[StemTuple, ...]:
     totals = tuple(-ck for ck in v.c) + ((-v.s,) if n >= 1 else ())
     return tuple(StemTuple(n, (0,) * run.start + totals[run.start:],
                            totals[:run.start] + (0,) * (n - run.start))
-                 for run in reversed(_cut_runs(n, v.s, v.c).get(v.d, [])))
+                 for run in _mask_runs(_cut_masks(n, v.s, v.c).get(v.d, 0)))
 
 
 # The MackeyClass constructor behind a bounded cache, for the classes
@@ -145,12 +161,13 @@ _stem_class = lru_cache(maxsize=1024)(MackeyClass)
 
 
 @lru_cache(maxsize=1024)
-def _closed_class(n: int, odd: bool, runs: tuple[range, ...]) -> MackeyClass:
-    """The closed-form stem of one d: one simple per sector of the runs
-    (given last run first), signed by the parity of s except at the top."""
+def _closed_class(n: int, odd: bool, mask: int) -> MackeyClass:
+    """The closed-form stem of one d: one simple per sector set in the
+    runs' mask, signed by the parity of s except at the top."""
     sign = MINUS if odd else PLUS
+    bits = bin(mask)[:1:-1]  # bit i at index i
     return _stem_class(n, tuple((i, sign if i < n else PLUS, 1)
-                                for run in reversed(runs) for i in run))
+                                for i, bit in enumerate(bits) if bit == "1"))
 
 
 def closed_column(n: int, s: int, c: tuple[int, ...]) -> dict[int, MackeyClass]:
@@ -158,17 +175,23 @@ def closed_column(n: int, s: int, c: tuple[int, ...]) -> dict[int, MackeyClass]:
     form: the sum of the decoded tuples' runs, one simple per sector,
     signed by the parity of the sigma-slot entry -s (a run reaches the
     top sector only when that entry is 0).  A class is looked up by its
-    runs, so its entries are built only the first time they occur."""
+    runs' mask, so its entries are built only the first time they occur."""
     odd = s % 2 != 0
-    return {d: _closed_class(n, odd, tuple(runs)) for d, runs in _cut_runs(n, s, c).items()}
+    return {d: _closed_class(n, odd, mask) for d, mask in _cut_masks(n, s, c).items()}
 
 
 @lru_cache(maxsize=1024)
-def _sector_class(n: int, odd: bool, sectors: tuple[int, ...]) -> MackeyClass:
-    """The stem of the occupied sectors (increasing): M_i signed by the
-    parity of s for i < n, and M_n^+ for the top sector."""
+def _sector_class(n: int, odd: bool, occupied: int) -> MackeyClass:
+    """The stem of the occupied sectors (bit i for sector i): M_i signed
+    by the parity of s for i < n, and M_n^+ for the top sector."""
     sign = MINUS if odd else PLUS
-    return _stem_class(n, tuple((i, sign if i < n else PLUS, 1) for i in sectors))
+    entries = []
+    while occupied:
+        lowest = occupied & -occupied
+        i = lowest.bit_length() - 1
+        entries.append((i, sign if i < n else PLUS, 1))
+        occupied ^= lowest
+    return _stem_class(n, tuple(entries))
 
 
 def sector_column(n: int, s: int, c: tuple[int, ...]) -> dict[int, MackeyClass]:
@@ -179,17 +202,19 @@ def sector_column(n: int, s: int, c: tuple[int, ...]) -> dict[int, MackeyClass]:
     k >= i and the a_l_k with k < i; it occupies the degree
     d = -s - 2*(c_i + ... + c_{n-2}), signed by the parity of the
     u_sigma exponent -s.  Sector n is the Laurent lattice on a_sigma
-    and all a_l_k, at d = 0.  A class is looked up by its sectors.
+    and all a_l_k, at d = 0.  A class is looked up by the bitmask of
+    its occupied sectors.
     """
-    found: dict[int, list[int]] = {}
+    found: dict[int, int] = {}  # d -> bitmask of the sectors occupying it
     tail = sum(c)  # c_i + ... + c_{n-2}, updated as i grows
     for i in range(n):
-        found.setdefault(-s - 2 * tail, []).append(i)
+        d = -s - 2 * tail
+        found[d] = found.get(d, 0) | (1 << i)
         if i < n - 1:
             tail -= c[i]
-    found.setdefault(0, []).append(n)
+    found[0] = found.get(0, 0) | (1 << n)
     odd = s % 2 != 0
-    return {d: _sector_class(n, odd, tuple(sectors)) for d, sectors in found.items()}
+    return {d: _sector_class(n, odd, occupied) for d, occupied in found.items()}
 
 
 @lru_cache(maxsize=_SPHERE_TABLES)
@@ -596,10 +621,11 @@ def point_presentation(n: int) -> PointPresentation:
     if n < 1:
         raise ValueError("the presentation needs n >= 1")
     gens: list[PresentationGenerator] = []
-    one, sig = VirtualRep.one(n, 1), VirtualRep.sigma(n)
+    sig = VirtualRep.sigma(n)
+    deg = VirtualRep.one(n, 1) - sig
     for i in range(n):
         gens.append(PresentationGenerator(
-            1, i, None, MINUS, one - sig,
+            1, i, None, MINUS, deg,
             f"y{i}*res(u_sigma)", f"y{i}/res(u_sigma)"))
     for k in range(n - 1):
         deg = VirtualRep.one(n, 2) - VirtualRep.lam(n, k)

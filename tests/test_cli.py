@@ -685,6 +685,16 @@ def test_closed_and_sector_share_equal_stems():
     assert len(seen) > 1
 
 
+def test_oracle_classes_are_its_own():
+    # the oracle's classes equal the closed column's but never come from
+    # the closed and sector methods' shared class cache
+    for n in (1, 2, 3):
+        for s, c in stems.box_columns(n, 2):
+            closed, oracle = stems.closed_column(n, s, c), stems.oracle_column(n, s, c)
+            assert oracle == closed
+            assert all(oracle[d] is not closed[d] for d in closed)
+
+
 def test_shared_stem_cache_is_bounded_and_validates():
     make = stems._stem_class
     maxsize = make.cache_parameters()["maxsize"]

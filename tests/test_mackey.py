@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ratstems import mackey
 from ratstems.mackey import (MINUS, PLUS, GradedTable, MackeyClass,
                              NonSignIsotypicError, classify)
 
@@ -203,6 +204,29 @@ def test_table_box_matches_pairwise_class_box(args):
     assert GradedTable(n, tuple(ea)).box(empty) == empty == empty.box(GradedTable(n, tuple(eb)))
 
 
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.tuples(st.just(n), table_entries(n), st.randoms(use_true_random=False))))
+def test_table_in_order_path_matches_regrouping(args):
+    # shuffled entries, repeated degrees and zero classes take the
+    # regrouping path; its normal form, given again, takes the in-order
+    # path, kept as given, and a zero class appended forces the regrouping
+    # path onto the same data
+    n, entries, rng = args
+    rng.shuffle(entries)
+    regrouped = GradedTable(n, tuple(entries))
+    want: dict[int, MackeyClass] = {}
+    for d, cls in entries:
+        want[d] = want.get(d, MackeyClass.zero(n)) + cls
+    assert regrouped.entries == tuple(sorted((d, c) for d, c in want.items() if not c.is_zero()))
+    kept = GradedTable(n, regrouped.entries)
+    assert kept.entries is regrouped.entries
+    forced = GradedTable(n, regrouped.entries + ((0, MackeyClass.zero(n)),))
+    for table in (kept, forced):
+        assert table.entries == regrouped.entries
+        assert table._by_degree == regrouped._by_degree
+        assert list(table._by_degree) == list(regrouped._by_degree)
+
+
 def test_table_keeps_a_lone_class():
     cls = MackeyClass(2, ((0, MINUS, 2), (2, PLUS, 1)))
     assert GradedTable(2, ((3, cls),)).get(3) is cls
@@ -238,7 +262,42 @@ def test_table_poincare():
 
 
 def test_table_validation():
-    with pytest.raises(ValueError):
-        GradedTable(2, ((0, MackeyClass.burnside_class(3)),))
+    burn = MackeyClass.burnside_class
+    # a class of another exponent raises, in order or not
+    for entries in [((0, burn(3)),), ((0, burn(2)), (1, burn(3))),
+                    ((1, burn(2)), (0, burn(2)), (2, burn(3))),
+                    ((0, MackeyClass.zero(2)), (1, burn(3)))]:
+        with pytest.raises(ValueError):
+            GradedTable(2, entries)
     with pytest.raises(ValueError):
         GradedTable.from_dict(2, {}).box(GradedTable.from_dict(3, {}))
+
+
+def test_box_class_cache_is_bounded_and_validates():
+    make = mackey._box_class
+    maxsize = make.cache_parameters()["maxsize"]
+    assert isinstance(maxsize, int) and maxsize > 0
+    before = make.cache_info()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            make(2, ((3, 1, 1),))
+    after = make.cache_info()
+    assert (after.hits, after.misses, after.currsize) == \
+        (before.hits, before.misses + 2, before.currsize)
+
+
+def test_box_interns_its_classes():
+    # the box emits each degree's entries sorted, so equal products are
+    # one cached instance, and the level index is kept on the other side
+    n = 2
+    a = GradedTable.from_dict(n, {0: MackeyClass.burnside_class(n),
+                                  1: MackeyClass(n, ((0, MINUS, 1), (1, MINUS, 2)))})
+    b = GradedTable.from_dict(n, {-1: MackeyClass(n, ((1, MINUS, 1), (2, PLUS, 1))),
+                                  2: MackeyClass(n, ((0, MINUS, 3), (1, PLUS, 1)))})
+    first, second = a.box(b), a.box(b)
+    assert first == second and first.degrees() == tuple(sorted(first.degrees()))
+    assert all(first.get(d) is second.get(d) for d in first.degrees())
+    assert b._by_level == {0: [(2, MINUS, 3)], 1: [(-1, MINUS, 1), (2, PLUS, 1)],
+                           2: [(-1, PLUS, 1)]}
+    assert first.degrees() == (-1, 0, 2, 3)
+    assert first.get(3) == MackeyClass(n, ((0, PLUS, 3), (1, MINUS, 2)))

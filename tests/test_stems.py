@@ -7,6 +7,7 @@ exhaustively and the structural properties (symmetry, multiplicativity,
 restriction recursion) are checked over random degrees.
 """
 
+import inspect
 import random
 import sys
 import time
@@ -203,10 +204,28 @@ def ref_decode_degree(v):
     return tuple(tuples)
 
 
-@pytest.mark.parametrize("n,bound", [(0, 3), (1, 4), (2, 3), (3, 2), (4, 2), (5, 1)])
+@pytest.mark.parametrize("n,bound", [(0, 3), (1, 4), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3),
+                                     (5, 1)])
 def test_decode_matches_reference_over_box(n, bound):
+    # the tuples are read back from the walk's masks as maximal runs of
+    # bits, so two runs at one d merging into one would show here
     for v in box_degrees(n, bound):
         assert decode_degree(v) == ref_decode_degree(v), v
+
+
+def test_overlapping_runs_raise_and_name_both():
+    # the walk with the guard that skips a cut repeating the one before
+    # it removed: at d = 0 of the column (2, 0, (0,)) the cuts 2 and 1
+    # both land, with the overlapping runs [2] and [1, 2]
+    source = inspect.getsource(stems._cut_masks)
+    guard = "if cut == 0 or totals[cut - 1] != 0:"
+    assert guard in source
+    namespace = dict(vars(stems))
+    exec(source.replace(guard, "if True:"), namespace)
+    with pytest.raises(TupleAmbiguityError) as err:
+        namespace["_cut_masks"](2, 0, (0,))
+    assert "overlapping sector runs [1, 2] and [2]" in str(err.value)
+    assert stems._cut_masks(2, 0, (0,)) == {0: 0b111}
 
 
 def test_decode_matches_reference_on_seeded_degrees():
