@@ -32,11 +32,12 @@ bound = 8
 diagram = fixed_point_data("bs1", n, bound)
 print(f"circle classifying space over the cyclic group of order {2 ** n}:")
 for lc in diagram.levels:
-    series, count = lc.components[0]
-    print(f"  level {lc.level}: {count} component(s), each with series {series}")
+    print(f"  level {lc.level}: {lc.count()} component(s), total series {lc.series}")
 
 # Assembly: per degree, feed the level dimensions to the classifier
-# that recognizes direct sums of simple Mackey functors.
+# that recognizes direct sums of simple Mackey functors.  The group is
+# abelian, so it acts trivially on each level's components, and a
+# level's coefficient is the multiplicity of its simple functor.
 table = gm_assemble(diagram)
 print("assembled cohomology (even degrees only):")
 for d in table.degrees()[:4]:

@@ -19,7 +19,6 @@ from ratstems.classifying import (
     sym_invariants_series,
     torus_check_su2,
     torus_check_u,
-    weyl_eigendata,
 )
 from ratstems.mackey import classify
 from ratstems.series import TruncatedSeries
@@ -67,36 +66,33 @@ for n in range(1, 5):
     print(f"  n={n}: assembled {naive.lhs}; torus labels {naive.rhs}"
           f" ({naive.verdict()}), Weyl-folded {folded.rhs} ({folded.verdict()})")
 
-# -- what folding means for the eigenvalue bookkeeping -------------------------------
-# Each Weyl orbit of components contributes eigendata: a fixed label
-# gives an invariant line, a free orbit pair gives one symmetric and
-# one antisymmetric line, and longer orbits throw dimensions into an
-# "other" slot that no rational Mackey functor can absorb.
+# -- folding by Burnside's lemma ---------------------------------------------------
+# The Weyl group of SU(2) has order 2 and acts on the N = 2^n torus
+# labels by j -> -j.  Burnside's lemma counts its orbits as the average
+# number of fixed labels: N for the identity and gcd(2, N) for the
+# inversion (the solutions of 2j = 0 mod N).  This is the count the
+# folded comparison uses.
 
-n = 2
 print()
-print("degree-0 eigendata of the inversion-folded torus, per level:")
-for lc in fixed_point_data("torus", n, 0, m=1).levels:
+print("Weyl orbits of the torus labels, per level:")
+for lc in fixed_point_data("torus", 4, 0, m=1).levels:
     labels = lc.count()
-    fixed = gcd(2, labels)  # the solutions of 2j = 0 mod labels
-    free_pairs = (labels - fixed) // 2
-    series = lc.components[0][0]
-    row = [(series, 1, 1, fixed)]
-    if free_pairs:
-        row.append((series, 2, 1, free_pairs))
-    plus, minus, other = weyl_eigendata(row, 0)
-    print(f"  level {lc.level}: plus {plus}, minus {minus}, other {other}")
+    orbits = (labels + gcd(2, labels)) // 2
+    if lc.level:
+        assert orbits == torus_check_su2(lc.level, "permutation").rhs
+    print(f"  level {lc.level}: {labels} labels, {orbits} orbits")
 
-# Only sign-isotypic eigendata assembles into Mackey classes.  The
-# circle diagram's degree-0 dimensions are all invariant:
+# That Weyl group belongs to SU(2), not to the cyclic group.  The
+# cyclic group is abelian, so its own residual action on fixed-point
+# components is trivial, and every level's dimension is an invariant
+# ("plus") slot of the classifier:
+n = 2
 circle_data = [(2 ** h, 0, 0) for h in range(n + 1)]
-print(f"circle eigendata {circle_data} classifies as {classify(n, circle_data)}")
+print(f"circle degree-0 data {circle_data} classifies as {classify(n, circle_data)}")
 
-# A size-4 orbit would leave 2 dimensions outside the +-1 eigenspaces,
-# and the classifier refuses such data outright.
-plus, minus, other = weyl_eigendata([(circle, 4, 1, 1)], 0)
+# Dimensions outside the +-1 eigenspaces fit no rational Mackey functor,
+# and the classifier refuses a nonzero "other" slot outright.
 try:
-    classify(0, [(plus, minus, other)])
+    classify(0, [(1, 0, 2)])
 except Exception as exc:
-    print(f"size-4 orbit gives (plus, minus, other) = ({plus}, {minus}, {other})"
-          f": {type(exc).__name__}")
+    print(f"(plus, minus, other) = (1, 0, 2): {type(exc).__name__}")

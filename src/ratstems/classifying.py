@@ -4,17 +4,17 @@ The engine here is geometric: for a compact Lie group L, the fixed
 points of the equivariant classifying space B_G L at subgroup level h
 decompose into components indexed by conjugacy classes of homomorphisms
 C_{2^h} -> L, each contributing the rational cohomology of a classical
-classifying space (of the centralizer).  ``fixed_point_data`` records
-these diagrams for the built-in families as summands, a series with a
-multiplicity (a U(m) level is one summand, its total series, from a
-generating function; each family builds a level from h alone, so a
-check that needs only the top level builds only that one), and
+classifying space (of the centralizer).  G = C_{2^n} is abelian, so
+the residual Weyl action of G on the level-h components is trivial, and
+a level adds only its total Poincare series, read as the multiplicity
+of the simple M_h in each degree.  ``fixed_point_data`` records one
+integral series per level for the built-in families (a U(m) level comes
+from a generating function; each family builds a level from h alone,
+so a check that needs only the top level builds only that one), and
 ``gm_assemble`` turns a diagram into a table of Mackey classes: per
-cohomological degree, each level's summands go to ``weyl_eigendata``
-as orbits of the residual Weyl action (``LevelComponents.eigendata``
-owns the rule that every built-in orbit is trivial), and the resulting
-eigendata feed ``mackey.classify``.  Degrees whose levels present the
-same numerators share one column, and one memo works out each distinct
+cohomological degree, the levels' coefficients are the plus slots of
+``mackey.classify``.  Degrees whose levels present the same
+coefficients share one column, and one memo works out each distinct
 column once.
 
 On top of the diagrams sit the comparison checks:
@@ -44,9 +44,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, zip_longest
+from itertools import combinations
 from math import gcd
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .burnside import BurnsideElement, transferred_tops
 from .mackey import PLUS, GradedTable, MackeyClass, classify
@@ -83,31 +83,19 @@ def bu_series(k: int, bound: int) -> TruncatedSeries:
 
 @dataclass(frozen=True)
 class LevelComponents:
-    """The fixed-point components at one subgroup level, as summands:
-    a cohomology series with a multiplicity.  A summand's series may
-    already be a sum over several components; every component is
-    connected, so degree 0 of the total counts the components."""
+    """The fixed-point components at one subgroup level, as the sum of
+    their cohomology series.  Every component is connected, so degree 0
+    of the series counts the components."""
 
     level: int
-    components: tuple[tuple[TruncatedSeries, int], ...]
+    series: TruncatedSeries
 
-    def eigendata(self, degree: int) -> tuple[int, int, int]:
-        """``weyl_eigendata`` of the level in one degree.  The residual
-        action is trivial for all built-in families, so every component
-        is an orbit of size 1 with sign +1."""
-        return weyl_eigendata([(s, 1, 1, c) for s, c in self.components], degree)
+    def __post_init__(self) -> None:
+        if self.series.den != 1:
+            raise ValueError("component dimensions must be integral")
 
     def count(self) -> int:
-        return self.eigendata(0)[0]
-
-    def total_series(self) -> TruncatedSeries:
-        out = None
-        for series, c in self.components:
-            part = series.scale(c)
-            out = part if out is None else out + part
-        if out is None:
-            raise ValueError("a level needs at least one component")
-        return out
+        return self.series.nums[0]
 
 
 @dataclass(frozen=True)
@@ -129,6 +117,12 @@ class FixedPointDiagram:
 def fixed_point_data(family: str, n: int, bound: int, m: int = 1) -> FixedPointDiagram:
     """Fixed-point diagrams of the built-in classifying-space families.
 
+    Each level is the sum of its components' cohomology series, with
+    integer coefficients.  That sum is all a level needs: G = C_{2^n}
+    is abelian, so conjugation by G fixes C_{2^h} pointwise, fixes
+    every homomorphism C_{2^h} -> L, and the residual action of G on
+    the level-h components is trivial.
+
     bs1      homs C_{2^h} -> S^1 are the 2^h characters; every component
              is a copy of BS^1.
     bsigma2  homs to Sigma_2: trivial only at level 0, trivial and sign
@@ -136,9 +130,8 @@ def fixed_point_data(family: str, n: int, bound: int, m: int = 1) -> FixedPointD
     bu       conjugacy classes of homs to U(m) are eigenvalue
              multiplicity tuples (weak compositions of m into N = 2^h
              parts), the centralizer the matching product of unitary
-             groups.  The level keeps one summand, the total series:
-             the coefficient G_m of x^m in F(x)^N with
-             F(x) = sum_k BU(k) x^k, by the power recurrence
+             groups.  The level series is the coefficient G_m of x^m
+             in F(x)^N with F(x) = sum_k BU(k) x^k, by the power recurrence
              k G_k = sum_{j=1..k} ((N+1) j - k) F_j G_{k-j}.  Its
              degree 0 counts the C(N+m-1, m) components.
     bsu2     level 0 sees SU(2) itself; above, the two central values
@@ -159,9 +152,10 @@ def _family_level(family: str, bound: int, m: int) -> Callable[[int], LevelCompo
     circle = TruncatedSeries.geometric(bound, 2)
     point = TruncatedSeries.one(bound)
     if family == "bs1":
-        return lambda h: LevelComponents(h, ((circle, 2 ** h),))
+        return lambda h: LevelComponents(h, circle.scale(2 ** h))
     if family == "bsigma2":
-        return lambda h: LevelComponents(h, ((point, 1 if h == 0 else 2),))
+        two = point.scale(2)
+        return lambda h: LevelComponents(h, two if h else point)
     if family == "bu":
         if m < 1:
             raise ValueError("bu needs m >= 1")
@@ -175,85 +169,45 @@ def _family_level(family: str, bound: int, m: int) -> Callable[[int], LevelCompo
                 for j in range(1, k):
                     acc = acc + (fs[j] * gs[k - j]).scale((2 ** h + 1) * j - k)
                 gs.append(acc.scale(Fraction(1, k)))
-            return LevelComponents(h, ((gs[m], 1),))
+            return LevelComponents(h, gs[m])
         return bu_level
     if family == "bsu2":
         sphere4 = TruncatedSeries.geometric(bound, 4)
-
-        def bsu2_level(h: int) -> LevelComponents:
-            if h == 0:
-                return LevelComponents(h, ((sphere4, 1),))
-            if h == 1:
-                return LevelComponents(h, ((sphere4, 2),))
-            return LevelComponents(h, ((circle, 2 ** (h - 1) - 1), (sphere4, 2)))
-        return bsu2_level
+        central = sphere4.scale(2)
+        return lambda h: LevelComponents(
+            h, central + circle.scale(2 ** (h - 1) - 1) if h else sphere4)
     if family == "torus":
         if m < 1:
             raise ValueError("torus needs m >= 1")
         block = circle
         for _ in range(m - 1):
             block = block * circle
-        return lambda h: LevelComponents(h, ((block, (2 ** h) ** m),))
+        return lambda h: LevelComponents(h, block.scale((2 ** h) ** m))
     raise ValueError(f"unknown classifying-space family {family!r}")
-
-
-def weyl_eigendata(orbits: Iterable[tuple[TruncatedSeries, int, int, int]],
-                   degree: int) -> tuple[int, int, int]:
-    """Eigenvalue bookkeeping for a residual generator acting on fixed
-    components by signed orbits.
-
-    Each orbit is (series of one component, orbit size r, sign of the
-    return map on cohomology, number of such orbits).  The induced
-    operator on the orbit's cohomology has as eigenvalues the r-th
-    roots of the sign; +1 occurs exactly for sign +1, -1 exactly when
-    (-1)^r equals the sign, and everything else lands in the third
-    slot (which the classifier rejects).
-    """
-    plus = minus = other = 0
-    for series, size, sign, count in orbits:
-        if sign not in (1, -1) or size < 1:
-            raise ValueError("orbit needs size >= 1 and sign +-1")
-        if not 0 <= degree <= series.bound:
-            raise ValueError(f"degree {degree} outside series window [0, {series.bound}]")
-        dim, rest = divmod(series.nums[degree] * count, series.den)
-        if rest:
-            raise ValueError("component dimensions must be integral")
-        p = dim if sign == 1 else 0
-        mi = dim if (-1) ** size == sign else 0
-        plus += p
-        minus += mi
-        other += dim * size - p - mi
-    return plus, minus, other
 
 
 def gm_assemble(diagram: FixedPointDiagram) -> GradedTable:
     """Assemble a fixed-point diagram into a table of Mackey classes.
 
-    In each degree the component dimension at level h is the geometric
+    In each degree the level-h series coefficient is the geometric
     fixed-point dimension there, i.e. the multiplicity of the simple
-    born at level h; ``LevelComponents.eigendata`` reads it off.
+    M_h born at level h: the plus slot of ``classify``, since the
+    residual action is trivial (see ``fixed_point_data``).
 
-    Degrees whose levels present the same component numerators share a
-    column, and one memo keyed by that column runs the levels'
-    eigendata and ``classify`` once per distinct column (twice for a
-    circle diagram, whatever the bound).  The walk is degree by degree,
-    level by level, so the first error raised is the one at the lowest
-    degree and level.
+    Degrees whose levels present the same dimensions share a column,
+    and one memo keyed by that column runs ``classify`` once per
+    distinct column (twice for a circle diagram, whatever the bound).
     """
-    bound = diagram.bound
-    keys = []
     for level in diagram.levels:
-        # each degree's tuple of component numerators; None marks a degree
-        # past a component's window, where weyl_eigendata raises
-        per_degree = list(zip_longest(*(s.nums[:bound + 1] for s, _ in level.components)))
-        keys.append(per_degree + [None] * (bound + 1 - len(per_degree)))
+        if level.series.bound != diagram.bound:
+            raise ValueError(f"level {level.level} has series bound {level.series.bound}, "
+                             f"the diagram {diagram.bound}")
     memo: dict = {}
     classes = {}
-    for d, column in enumerate(zip(*keys)):
+    for d, column in enumerate(zip(*(level.series.nums for level in diagram.levels))):
         cls = memo.get(column)
         if cls is None:
-            cls = memo[column] = classify(
-                diagram.n, [level.eigendata(d) for level in diagram.levels])
+            cls = memo[column] = classify(diagram.n, [(dim, 0, 0) for dim in column])
         classes[d] = cls
     return GradedTable.from_dict(diagram.n, classes)
 
@@ -283,6 +237,8 @@ class CirclePresentation:
 
 
 def bgs1_presentation(n: int, bound: int) -> CirclePresentation:
+    if n < 1:
+        raise ValueError("the circle presentation needs n >= 1")
     table = _circle_table(n, bound)
     degrees = [("w", 2)]
     degrees += [(f"u[{m},{j}]", 0) for m in range(1, n + 1) for j in range(1, 2 ** m)]
@@ -299,8 +255,6 @@ def bgs1_presentation(n: int, bound: int) -> CirclePresentation:
 
 def _circle_table(n: int, bound: int) -> GradedTable:
     """The circle table: 2^h copies of the level-h simple in each even degree."""
-    if n < 1:
-        raise ValueError("the circle presentation needs n >= 1")
     cls = MackeyClass(n, tuple((h, PLUS, 2 ** h) for h in range(n + 1)))
     return GradedTable.from_dict(n, {d: cls for d in range(0, bound + 1, 2)})
 
@@ -358,8 +312,8 @@ def torus_check_u(n: int, m: int, bound: int) -> TorusCheckU:
     torus = fixed_point_data("torus", n, bound, m=1)
     rows = []
     for h in range(n + 1):
-        lhs = bu.level(h).total_series()
-        rhs = sym_invariants_series([torus.level(h).total_series()], m, bound)
+        lhs = bu.level(h).series
+        rhs = sym_invariants_series([torus.level(h).series], m, bound)
         rows.append((h, lhs, rhs))
     return TorusCheckU(n, m, bound, tuple(rows))
 

@@ -352,7 +352,7 @@ def cmd_bgsigma2(args: argparse.Namespace) -> tuple[list[dict], int]:
 def cmd_bgu(args: argparse.Namespace) -> tuple[list[dict], int]:
     diagram = fixed_point_data("bu", args.n, args.maxdeg, m=args.m)
     return [{"command": "bgu", "kind": "level", "n": args.n, "m": args.m, "level": h,
-             "components": level.count(), "series": str(level.total_series())}
+             "components": level.count(), "series": str(level.series)}
             for h, level in enumerate(diagram.levels)], 0
 
 

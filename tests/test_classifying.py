@@ -24,10 +24,8 @@ from ratstems.classifying import (FixedPointDiagram, LevelComponents,
                                   collapse_expand, compositions,
                                   fixed_point_data, gm_assemble,
                                   sym_invariants_series, torus_check_su2,
-                                  torus_check_u, weyl_eigendata,
-                                  _poly_eval, _poly_from_roots)
-from ratstems.mackey import (MINUS, PLUS, GradedTable, MackeyClass,
-                             NonSignIsotypicError, classify)
+                                  torus_check_u, _poly_eval, _poly_from_roots)
+from ratstems.mackey import MINUS, PLUS, GradedTable, MackeyClass, classify
 from ratstems.rolattice import VirtualRep, parse_degree
 from ratstems.series import TruncatedSeries
 from ratstems.stems import stem_at
@@ -87,13 +85,13 @@ def ref_sym_series(component_series, m, bound):
 
 
 def ref_gm_assemble(diagram):
-    """Assembly by its definition: one weyl_eigendata call per degree and
-    level, and one classify call per degree."""
+    """Assembly by its definition: per degree, each level's series
+    coefficient is the plus slot of one classify call."""
     classes = {}
     for d in range(diagram.bound + 1):
-        eigen = [weyl_eigendata([(series, 1, 1, count) for series, count in level.components], d)
-                 for level in diagram.levels]
-        classes[d] = classify(diagram.n, eigen)
+        dims = [level.series.coeff(d) for level in diagram.levels]
+        assert all(q.denominator == 1 for q in dims)
+        classes[d] = classify(diagram.n, [(int(q), 0, 0) for q in dims])
     return GradedTable.from_dict(diagram.n, classes)
 
 
@@ -182,17 +180,14 @@ def test_circle_diagram_counts():
     for h in range(4):
         level = data.level(h)
         assert level.count() == 2 ** h
-        assert level.components == ((circle, 2 ** h),)
-        series = level.total_series()
-        assert series.coeff(4) == 2 ** h and series.coeff(5) == 0
-        assert series == circle.scale(2 ** h)
+        assert level.series.coeff(4) == 2 ** h and level.series.coeff(5) == 0
+        assert level.series == circle.scale(2 ** h)
 
 
 def test_two_point_diagram_counts():
     data = fixed_point_data("bsigma2", 2, BOUND)
     assert [data.level(h).count() for h in range(3)] == [1, 2, 2]
-    assert data.level(2).total_series().coeff(0) == 2
-    assert data.level(2).total_series().coeff(2) == 0
+    assert data.level(2).series == TruncatedSeries.one(BOUND).scale(2)
 
 
 def test_unitary_diagram_counts():
@@ -202,7 +197,7 @@ def test_unitary_diagram_counts():
             parts = 2 ** h
             assert data.level(h).count() == math.comb(m + parts - 1, parts - 1)
     # one eigenvalue block per character: level 0 is plain BU(m)
-    assert fixed_point_data("bu", 2, 8, m=3).level(0).total_series() == \
+    assert fixed_point_data("bu", 2, 8, m=3).level(0).series == \
         bu_series(3, 8)
 
 
@@ -213,7 +208,7 @@ def test_unitary_diagram_at_large_m():
         data = fixed_point_data("bu", n, bound, m=m)
         for h in range(n + 1):
             slots = 2 ** h
-            series = data.level(h).total_series()
+            series = data.level(h).series
             assert data.level(h).count() == series.coeff(0) == \
                 math.comb(m + slots - 1, m)
             assert series.coeff(2) == slots * math.comb(m - 1 + slots - 1, m - 1)
@@ -230,27 +225,35 @@ def test_unitary_diagram_matches_composition_walk():
                     for series, count in walk:
                         want = want + series.scale(count)
                     assert data.level(h).count() == sum(c for _, c in walk)
-                    assert data.level(h).total_series() == want
+                    assert data.level(h).series == want
 
 
 def test_count_is_the_multiplicity_sum():
-    # every component of these families is one summand's connected piece
+    # every component is connected, so degree 0 of the level series
+    # counts them: the characters of each family, summed by kind
+    counts = {
+        "bs1": lambda h: 2 ** h,
+        "bsigma2": lambda h: 2 if h else 1,
+        "bsu2": lambda h: 2 + (2 ** (h - 1) - 1) if h else 1,
+        "torus": lambda h: (2 ** h) ** 2,
+    }
     for n in range(7):
-        for data in (fixed_point_data("bs1", n, 6), fixed_point_data("bsigma2", n, 6),
-                     fixed_point_data("bsu2", n, 6), fixed_point_data("torus", n, 6, m=2)):
-            for level in data.levels:
-                assert level.count() == sum(c for _, c in level.components)
+        for family, count in counts.items():
+            data = fixed_point_data(family, n, 6, m=2)
+            for h, level in enumerate(data.levels):
+                assert level.count() == level.series.coeff(0) == count(h)
 
 
 def test_su2_diagram_counts():
     data = fixed_point_data("bsu2", 3, BOUND)
     assert [data.level(h).count() for h in range(4)] == [1, 2, 3, 5]
     sphere4 = TruncatedSeries.geometric(BOUND, 4)
-    assert data.level(0).components == ((sphere4, 1),)
-    assert data.level(1).components == ((sphere4, 2),)
+    assert data.level(0).series == sphere4
+    assert data.level(1).series == sphere4 + sphere4
     # noncentral character pairs contribute circle components
     circle = TruncatedSeries.geometric(BOUND, 2)
-    assert data.level(2).components == ((circle, 1), (sphere4, 2))
+    assert data.level(2).series == circle + sphere4 + sphere4
+    assert data.level(3).series == circle.scale(3) + sphere4 + sphere4
 
 
 def test_torus_diagram_counts():
@@ -259,8 +262,9 @@ def test_torus_diagram_counts():
         for h in range(3):
             assert data.level(h).count() == (2 ** h) ** m
     block = TruncatedSeries.geometric(8, 2)
-    assert fixed_point_data("torus", 1, 8, m=2).level(0).components == \
-        ((block * block, 1),)
+    assert fixed_point_data("torus", 1, 8, m=2).level(0).series == block * block
+    assert fixed_point_data("torus", 1, 8, m=2).level(1).series == \
+        (block * block).scale(4)
 
 
 def test_diagram_errors():
@@ -274,14 +278,6 @@ def test_diagram_errors():
         fixed_point_data("bs1", -1, 8)
     with pytest.raises(ValueError):
         fixed_point_data("bs1", 2, 8).level(3)
-    with pytest.raises(ValueError):
-        LevelComponents(0, ()).total_series()
-    half = TruncatedSeries.one(4).scale(Fraction(1, 2))
-    diagram = FixedPointDiagram("half", 0, 4, (LevelComponents(0, ((half, 1),)),))
-    with pytest.raises(ValueError, match="integral"):
-        gm_assemble(diagram)
-    with pytest.raises(ValueError, match="component dimensions must be integral"):
-        diagram.level(0).count()
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +308,7 @@ def test_assemble_level_dims_accumulate():
     for d in range(9):
         cls = table.get(d)
         for h in range(3):
-            want = sum(diagram.level(i).total_series().coeff(d) for i in range(h + 1))
+            want = sum(diagram.level(i).series.coeff(d) for i in range(h + 1))
             assert cls.level_dim(h) == want
 
 
@@ -336,77 +332,54 @@ def test_assemble_matches_reference():
 
 
 def test_assemble_raises_the_reference_first_error():
-    half = TruncatedSeries.one(4).scale(Fraction(1, 2))
     negative = TruncatedSeries(4, [1, 0, -1])
-    late_half = TruncatedSeries(4, [1, Fraction(1, 2)])
     late_negative = TruncatedSeries(4, [1, -1])
-    short = TruncatedSeries.one(2)
     circle = TruncatedSeries.geometric(4, 2)
     cases = [
-        [((half, 1),)],
-        [((negative, 1),)],
-        [((circle, 1), (negative, 2))],
-        [((circle, -1),)],
-        [((short, 1),)],
-        # an error at a lower degree wins over one at a lower level
-        [((late_half, 1),), ((negative, 1),)],
-        [((late_negative, 1),), ((half, 1),)],
-        [((late_half, 1),), ((late_negative, 1),)],
-        [((late_negative, 1),), ((late_half, 1),)],
-        [((circle, 1),), ((short, 1),), ((late_half, 1),)],
+        [negative],
+        [circle + negative.scale(2)],
+        [circle.scale(-1)],
+        [late_negative, negative],
+        [circle, circle, late_negative],
     ]
     for levels in cases:
         diagram = FixedPointDiagram("hand", len(levels) - 1, 4, tuple(
-            LevelComponents(h, comps) for h, comps in enumerate(levels)))
+            LevelComponents(h, series) for h, series in enumerate(levels)))
         want = assembly_outcome(ref_gm_assemble, diagram)
         assert isinstance(want, tuple), levels
         assert assembly_outcome(gm_assemble, diagram) == want
+    # a level whose window differs from the diagram's is refused before
+    # any degree is read, even where a lower level fails a degree first
+    for levels in ([TruncatedSeries.one(2)], [negative, TruncatedSeries.one(6)]):
+        diagram = FixedPointDiagram("hand", len(levels) - 1, 4, tuple(
+            LevelComponents(h, series) for h, series in enumerate(levels)))
+        with pytest.raises(ValueError, match=f"level {len(levels) - 1} has series bound"):
+            gm_assemble(diagram)
 
 
 def test_assemble_reads_each_distinct_column_once(monkeypatch):
     # looked up as module globals, so a rebound name is the one called
-    calls = {"weyl_eigendata": 0, "classify": 0}
-    for name in calls:
-        def counted(*args, _inner=getattr(classifying, name), _name=name):
-            calls[_name] += 1
-            return _inner(*args)
-        monkeypatch.setattr(classifying, name, counted)
+    calls = []
+
+    def counted(*args, _inner=classifying.classify):
+        calls.append(args)
+        return _inner(*args)
+    monkeypatch.setattr(classifying, "classify", counted)
     n, bound = 3, 30
     table = gm_assemble(fixed_point_data("bs1", n, bound))
-    # each circle level has two numerator tuples (even and odd degrees),
-    # and the degrees give two columns
-    assert calls == {"weyl_eigendata": 2 * (n + 1), "classify": 2}
+    # the even and the odd degrees give the two columns
+    assert calls == [(n, [(2 ** h, 0, 0) for h in range(n + 1)]),
+                     (n, [(0, 0, 0)] * (n + 1))]
     assert table == ref_gm_assemble(fixed_point_data("bs1", n, bound))
 
 
-def test_weyl_eigendata():
-    one = TruncatedSeries.one(4)
-    # a fixed component with orientation-reversing return map
-    assert weyl_eigendata([(one, 1, -1, 3)], 0) == (0, 3, 0)
-    # a swapped pair: invariant and anti-invariant line
-    assert weyl_eigendata([(one, 2, 1, 2)], 0) == (2, 2, 0)
-    # a three-cycle leaves a plus line and two rotation eigenlines
-    assert weyl_eigendata([(one, 3, 1, 1)], 0) == (1, 0, 2)
-    # a swapped pair with a sign: both square roots of -1
-    assert weyl_eigendata([(one, 2, -1, 1)], 0) == (0, 0, 2)
-    assert weyl_eigendata([(one, 1, 1, 5)], 1) == (0, 0, 0)
-    with pytest.raises(ValueError):
-        weyl_eigendata([(one, 0, 1, 1)], 0)
-    with pytest.raises(ValueError):
-        weyl_eigendata([(one, 1, 2, 1)], 0)
-    with pytest.raises(NonSignIsotypicError):
-        classify(1, [weyl_eigendata([(one, 3, 1, 1)], 0), (0, 0, 0)])
-
-
-def test_weyl_eigendata_needs_integral_dimensions():
-    # a half-dimensional component counts only when its count makes it whole
-    half = TruncatedSeries(0, [Fraction(1, 2)])
-    assert weyl_eigendata([(half, 1, 1, 2)], 0) == (1, 0, 0)
-    assert weyl_eigendata([(half, 2, 1, 4)], 0) == (2, 2, 0)
-    with pytest.raises(ValueError):
-        weyl_eigendata([(half, 1, 1, 1)], 0)
-    with pytest.raises(ValueError):
-        weyl_eigendata([(half, 1, 1, 3)], 0)
+def test_level_series_must_be_integral():
+    # a level is refused at construction unless every coefficient is whole
+    half = TruncatedSeries(2, [Fraction(1, 2)])
+    assert LevelComponents(0, half.scale(2)).count() == 1
+    for series in (half, half.scale(3), TruncatedSeries(2, [1, 0, Fraction(1, 3)])):
+        with pytest.raises(ValueError, match="component dimensions must be integral"):
+            LevelComponents(0, series)
 
 
 # ---------------------------------------------------------------------------

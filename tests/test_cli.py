@@ -262,6 +262,20 @@ def test_consistency_report(capsys):
     assert lines == ["differences=0 | agree=yes"]
 
 
+def test_consistency_answers_the_trivial_group(capsys):
+    # at n = 0 both candidates are M0 in degree 0, as bgsigma2 answers
+    status, lines, err = run_lines(capsys, ["consistency", "bsigma2", "--n", "0"])
+    assert (status, lines, err) == (0, ["differences=0 | agree=yes"], "")
+    status, lines, _ = run_lines(capsys, ["bgsigma2", "--n", "0"])
+    assert (status, lines) == (0, ["level=0 | components=1", "degree=0 | class=M0 | level_dims=1"])
+
+
+def test_bgs1_refuses_the_trivial_group(capsys):
+    status, lines, err = run_lines(capsys, ["bgs1", "--n", "0"])
+    assert (status, lines) == (2, [])
+    assert err == "error: the circle presentation needs n >= 1\n"
+
+
 # ---------------------------------------------------------------------------
 # Output plumbing.
 
