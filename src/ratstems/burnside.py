@@ -14,58 +14,90 @@ restriction is truncation of marks, and the primitive idempotents e_h
 are the pullbacks of the indicator vectors.  Transfers act on the basis
 by tr(x[i,j]) = x[i+1,j], so tr(1) = x[i+1,i].
 
-Products, marks and their inverse run on integer numerators over one
-common denominator, with one Fraction per output coefficient: a product
-applies the relations to the numerators, marks are their suffix sum,
-and from_marks takes first differences.
+An element is stored as integer numerators ``nums`` over one positive
+denominator ``den``, reduced so that ``gcd(den, *nums) == 1`` (the zero
+element has ``den == 1``), the unique form ``TruncatedSeries`` uses; so
+equality and hashing compare integers.  Sums, scalings, products, marks,
+restrictions, transfers and their inverse all run on those integers: a
+product applies the relations to the numerators, marks are their suffix
+sum, and from_marks takes first differences.  ``fractions.Fraction``
+appears only at the boundary: in validating inputs and in the ``coeffs``
+and ``marks`` views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
-from typing import Sequence
+from functools import cached_property
+from math import lcm
+from typing import Iterable, Sequence
 
-from .series import _ZERO, _exact, _numerators
+from .series import _ZERO, _exact, _exact_nums, _fraction_str, _reduce
 
 
-@dataclass(frozen=True)
+def _check_level(n: object, i: object) -> None:
+    if type(n) is not int or type(i) is not int:
+        raise ValueError("ambient exponent n and level i must be integers")
+    if n < 1:
+        raise ValueError("ambient exponent n must be >= 1")
+    if not 0 <= i <= n:
+        raise ValueError(f"level {i} outside 0..{n}")
+
+
+@dataclass(frozen=True, init=False)
 class BurnsideElement:
     """An element of A_Q(C_{2^i}) at the subgroup C_{2^i} of the ambient
-    group C_{2^n}; coeffs[0] multiplies 1, coeffs[1+j] multiplies x[i,j]."""
+    group C_{2^n}; coefficient 0 multiplies 1 and coefficient 1+j
+    multiplies x[i,j].  Coefficient k is ``nums[k] / den``."""
 
     n: int
     i: int
-    coeffs: tuple[Fraction, ...]
+    den: int
+    nums: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if type(self.n) is not int or type(self.i) is not int:
-            raise ValueError("ambient exponent n and level i must be integers")
-        if self.n < 1:
-            raise ValueError("ambient exponent n must be >= 1")
-        if not 0 <= self.i <= self.n:
-            raise ValueError(f"level {self.i} outside 0..{self.n}")
-        cs = tuple(_exact(q, "coefficients") for q in self.coeffs)
-        if len(cs) != self.i + 1:
-            raise ValueError(f"expected {self.i + 1} coefficients at level {self.i}")
-        object.__setattr__(self, "coeffs", cs)
+    def __init__(self, n: int, i: int, coeffs: Iterable[Fraction | int]):
+        _check_level(n, i)
+        den, nums = _exact_nums(coeffs, "coefficients")
+        if len(nums) != i + 1:
+            raise ValueError(f"expected {i + 1} coefficients at level {i}")
+        self._init(n, i, den, tuple(nums))
+
+    def _init(self, n: int, i: int, den: int, nums: tuple[int, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+
+    @classmethod
+    def _reduced(cls, n: int, i: int, den: int, nums: Sequence[int]) -> "BurnsideElement":
+        """The element nums/den at level i, with den > 0, in reduced form."""
+        den, nums = _reduce(den, nums)
+        out = object.__new__(cls)
+        out._init(n, i, den, tuple(nums))
+        return out
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, built on first read."""
+        den = self.den
+        return tuple(Fraction(a, den) if a else _ZERO for a in self.nums)
 
     @classmethod
     def zero(cls, n: int, i: int) -> "BurnsideElement":
-        return cls(n, i, (Fraction(0),) * (i + 1))
+        return cls(n, i, (0,) * (i + 1))
 
     @classmethod
     def one(cls, n: int, i: int) -> "BurnsideElement":
-        return cls(n, i, (Fraction(1),) + (Fraction(0),) * i)
+        return cls(n, i, (1,) + (0,) * i)
 
     @classmethod
     def x(cls, n: int, i: int, j: int) -> "BurnsideElement":
         if not 0 <= j < i:
             raise ValueError(f"x[{i},{j}] needs 0 <= j < i")
-        cs = [Fraction(0)] * (i + 1)
-        cs[1 + j] = Fraction(1)
-        return cls(n, i, tuple(cs))
+        cs = [0] * (i + 1)
+        cs[1 + j] = 1
+        return cls(n, i, cs)
 
     @classmethod
     def y(cls, n: int, i: int) -> "BurnsideElement":
@@ -81,17 +113,27 @@ class BurnsideElement:
         if (other.n, other.i) != (self.n, self.i):
             raise ValueError("elements live at different levels")
 
-    def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
+    def _combine(self, other: "BurnsideElement", sign: int) -> "BurnsideElement":
+        """self + sign * other over the lcm of the two denominators."""
         self._assert_same(other)
-        return BurnsideElement(self.n, self.i, tuple(map(add, self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        den = lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        return BurnsideElement._reduced(
+            self.n, self.i, den, [x * fa + y * fb for x, y in zip(self.nums, other.nums)])
+
+    def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "BurnsideElement") -> "BurnsideElement":
-        self._assert_same(other)
-        return BurnsideElement(self.n, self.i, tuple(map(sub, self.coeffs, other.coeffs)))
+        return self._combine(other, -1)
 
     def scale(self, q: Fraction | int) -> "BurnsideElement":
-        q = _exact(q, "scale factor")
-        return BurnsideElement(self.n, self.i, tuple(q * a for a in self.coeffs))
+        if type(q) is not int:
+            q = _exact(q, "scale factor")
+        p = q.numerator
+        return BurnsideElement._reduced(self.n, self.i, self.den * q.denominator,
+                                        [p * a for a in self.nums])
 
     def __mul__(self, other: "BurnsideElement") -> "BurnsideElement":
         """The product by the relations, on the integer numerators of both
@@ -99,10 +141,9 @@ class BurnsideElement:
         self._assert_same(other)
         i = self.i
         orbit = [i, *range(i)]  # coefficient slot -> j of its x[i,j]; the unit is x[i,i]
-        da, a = _numerators(self.coeffs)
-        db, b = _numerators(other.coeffs)
+        b = other.nums
         out = [0] * (i + 1)
-        for a_idx, p in enumerate(a):
+        for a_idx, p in enumerate(self.nums):
             if not p:
                 continue
             j = orbit[a_idx]
@@ -111,55 +152,58 @@ class BurnsideElement:
                     continue
                 k = orbit[b_idx]
                 out[a_idx if j <= k else b_idx] += p * q << (i - max(j, k))
-        den = da * db
-        return BurnsideElement(self.n, i, tuple(Fraction(c, den) if c else _ZERO for c in out))
+        return BurnsideElement._reduced(self.n, i, self.den * other.den, out)
 
-    def marks(self) -> tuple[Fraction, ...]:
-        """Fixed-point counts over the levels h = 0..i.
+    def _mark_nums(self) -> list[int]:
+        """The numerators of the marks over ``den``.
 
         The unit has one fixed point everywhere; x[i,j] has 2^(i-j)
         fixed points at levels h <= j and none above.  So the marks are
         one suffix sum: marks[i] = coeffs[0] and
         marks[h] = marks[h+1] + coeffs[1+h] * 2^(i-h).
         """
-        i = self.i
-        den, cs = _numerators(self.coeffs)
+        i, cs = self.i, self.nums
         out = [cs[0]] * (i + 1)
         for h in range(i - 1, -1, -1):
             out[h] = out[h + 1] + (cs[1 + h] << (i - h))
-        return tuple(Fraction(m, den) if m else _ZERO for m in out)
+        return out
+
+    def marks(self) -> tuple[Fraction, ...]:
+        """Fixed-point counts over the levels h = 0..i."""
+        den = self.den
+        return tuple(Fraction(m, den) if m else _ZERO for m in self._mark_nums())
 
     def res(self, i2: int) -> "BurnsideElement":
         """Restriction to level i2 <= i, defined by truncating marks."""
         if not 0 <= i2 <= self.i:
             raise ValueError(f"cannot restrict level {self.i} to {i2}")
-        return from_marks(self.n, i2, self.marks()[: i2 + 1])
+        return _from_mark_nums(self.n, i2, self.den, self._mark_nums()[: i2 + 1])
 
     def tr(self) -> "BurnsideElement":
         """Transfer one level up: tr(1) = x[i+1,i], tr(x[i,j]) = x[i+1,j]."""
         if self.i >= self.n:
             raise ValueError("cannot transfer above the ambient group")
-        cs = self.coeffs
-        return BurnsideElement(self.n, self.i + 1, (0, *cs[1:], cs[0]))
+        cs = self.nums
+        return BurnsideElement._reduced(self.n, self.i + 1, self.den, (0, *cs[1:], cs[0]))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
+        return not any(self.nums)
 
     def __str__(self) -> str:
-        i = self.i
+        i, den, cs = self.i, self.den, self.nums
         parts = []
-        if self.coeffs[0] != 0:
-            parts.append(f"{self.coeffs[0]}*1")
+        if cs[0]:
+            parts.append(f"{_fraction_str(cs[0], den)}*1")
         for j in range(i):
-            q = self.coeffs[1 + j]
-            if q != 0:
-                parts.append(f"{q}*x[{i},{j}]")
+            if cs[1 + j]:
+                parts.append(f"{_fraction_str(cs[1 + j], den)}*x[{i},{j}]")
         return " + ".join(parts) if parts else "0"
 
     def to_record(self) -> dict:
+        den = self.den
         return {
             "level": {"n": self.n, "i": self.i},
-            "coeffs": [str(q) for q in self.coeffs],
+            "coeffs": [_fraction_str(a, den) for a in self.nums],
         }
 
 
@@ -174,12 +218,17 @@ def from_marks(n: int, i: int, marks: Sequence[Fraction | int]) -> BurnsideEleme
     """
     if len(marks) != i + 1:
         raise ValueError(f"expected {i + 1} marks at level {i}")
-    den, ms = _numerators([q if type(q) is int else _exact(q, "marks") for q in marks])
-    out = [Fraction(ms[i], den) if ms[i] else _ZERO]
-    for h in range(i):
-        step = ms[h] - ms[h + 1]
-        out.append(Fraction(step, den << (i - h)) if step else _ZERO)
-    return BurnsideElement(n, i, tuple(out))
+    den, ms = _exact_nums(marks, "marks")
+    _check_level(n, i)
+    return _from_mark_nums(n, i, den, ms)
+
+
+def _from_mark_nums(n: int, i: int, den: int, ms: Sequence[int]) -> BurnsideElement:
+    """from_marks on the numerators ms of the marks over den: the first
+    differences over den * 2^i, where step h carries 2^h."""
+    out = [ms[i] << i]
+    out += [(ms[h] - ms[h + 1]) << h for h in range(i)]
+    return BurnsideElement._reduced(n, i, den << i, out)
 
 
 def transferred_tops(n: int, level: int,
@@ -188,18 +237,24 @@ def transferred_tops(n: int, level: int,
     where e_i is the top idempotent of level i <= level.
 
     In closed form tr^(L-i)(e_i) = x[L,i] - x[L,i-1]/2 for i < L (just
-    x[L,0] for i = 0), and e_L = y_L = 1 - x[L,L-1]/2 (just 1 for L = 0).
-    The sum is taken on integer numerators over twice a common
-    denominator of the q."""
-    den, nums = _numerators([_exact(q, "line coefficients") for _, q in lines])
+    x[L,0] for i = 0), and e_L = y_L = 1 - x[L,L-1]/2 (just 1 for L = 0)."""
+    den, nums = _exact_nums((q for _, q in lines), "line coefficients")
+    _check_level(n, level)
+    return _transferred_tops(n, level, den, [(i, q) for (i, _), q in zip(lines, nums)])
+
+
+def _transferred_tops(n: int, level: int, den: int,
+                      lines: Iterable[tuple[int, int]]) -> BurnsideElement:
+    """transferred_tops on the numerators of the q over den, summed over
+    twice that denominator."""
     out = [0] * (level + 1)
-    for (i, _), q in zip(lines, nums):
+    for i, q in lines:
         if not 0 <= i <= level:
             raise ValueError(f"line {i} outside 0..{level}")
         out[0 if i == level else 1 + i] += 2 * q  # slot of x[L,i]; x[L,L] is the unit
         if i:
             out[i] -= q  # slot of x[L,i-1]
-    return BurnsideElement(n, level, tuple(Fraction(c, 2 * den) for c in out))
+    return BurnsideElement._reduced(n, level, 2 * den, out)
 
 
 def idempotents(n: int, i: int) -> list[BurnsideElement]:

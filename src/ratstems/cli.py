@@ -27,16 +27,18 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__
-from .burnside import BurnsideElement, from_marks, idempotents, transferred_tops
+from .burnside import BurnsideElement, _transferred_tops, from_marks, idempotents
 from .classifying import (bgs1_presentation, bsigma2_consistency, collapse,
                           collapse_expand, fixed_point_data, gm_assemble,
                           torus_check_su2, torus_check_u)
 from .mackey import MackeyClass, NonSignIsotypicError
 from .rolattice import VirtualRep, parse_degree
+from .series import _numerators
 from .stems import (STEM_METHODS, SectorElement, TupleAmbiguityError, box_columns,
                     lattice_mismatches, point_presentation, sphere_homology)
 
@@ -88,10 +90,11 @@ def sector_to_burnside(elem: SectorElement) -> BurnsideElement:
     At level L that image is closed-form: line i < L maps to
     x[L,i] - x[L,i-1]/2 (just x[L,0] for i = 0), and line L maps to
     y_L = 1 - x[L,L-1]/2 (just 1 for L = 0); see
-    ``burnside.transferred_tops``."""
-    if elem.degree != VirtualRep.zero(elem.n):
+    ``burnside.transferred_tops``, here on the element's numerators."""
+    v = elem.degree
+    if v.d or v.s or any(v.c):
         raise ValueError("only degree-0 elements live in the Burnside algebra")
-    return transferred_tops(elem.n, elem.level, elem.coeffs)
+    return _transferred_tops(elem.n, elem.level, elem.den, elem.nums)
 
 
 # ---------------------------------------------------------------------------
@@ -193,19 +196,32 @@ def _check_torus(n_max: int) -> str | None:
     return None
 
 
-def _check_collapse(s_max: int) -> str | None:
-    from .classifying import _poly_eval
+def _eval_at(nums: Sequence[int], x: int) -> int:
+    """The integer polynomial nums[0] + nums[1]*x + ... at an integer x."""
+    acc = 0
+    for c in reversed(nums):
+        acc = acc * x + c
+    return acc
 
+
+def _check_collapse(s_max: int) -> str | None:
+    """f(x) against its collapse expansion c_0 + sum_i c_i * e_i(x) on the
+    spectrum x = 0..s.  Each polynomial is taken once as numerators over
+    its denominator, and the two sides are compared over the product of
+    f's, the expansion's and the lcm of the idempotents' denominators."""
     for s in range(1, s_max + 1):
         pres = collapse(s)
         f = tuple(Fraction(c) for c in range(s + 1))
-        expansion = collapse_expand(f, s)
+        fden, fnums = _numerators(f)
+        eden, enums = _numerators(collapse_expand(f, s))
+        idems = [_numerators(pres.idempotent(i)) for i in range(1, s + 1)]
+        common = lcm(*(d for d, _ in idems))
+        idems = [(common // d, nums) for d, nums in idems]
         for x in range(s + 1):
-            direct = _poly_eval(f, Fraction(x))
-            recon = expansion[0]
-            for i in range(1, s + 1):
-                recon += expansion[i] * _poly_eval(pres.idempotent(i), Fraction(x))
-            if direct != recon:
+            direct = _eval_at(fnums, x) * eden * common
+            recon = enums[0] * common + sum(c * scale * _eval_at(nums, x)
+                                            for c, (scale, nums) in zip(enums[1:], idems))
+            if direct != recon * fden:
                 return f"collapse expansion breaks at s={s}, eigenvalue {x}"
     return None
 

@@ -33,9 +33,40 @@ def _exact(q: object, what: str) -> Fraction:
 
 
 def _numerators(coeffs: Sequence[Fraction | int]) -> tuple[int, list[int]]:
-    """A common denominator of the coefficients and their numerators over it."""
+    """A common denominator of the coefficients and their numerators over it.
+
+    For reduced Fractions and ints this is the reduced form: the lcm of
+    reduced denominators leaves no factor common to all numerators."""
     den = lcm(*(q.denominator for q in coeffs))
     return den, [q.numerator * (den // q.denominator) for q in coeffs]
+
+
+def _exact_nums(qs: Iterable[Fraction | int], what: str) -> tuple[int, list[int]]:
+    """The reduced (den, nums) of exact inputs; floats and bools are refused."""
+    qs = list(qs)
+    if set(map(type, qs)) - {int}:
+        for q in qs:
+            if type(q) is not Fraction and type(q) is not int:
+                _exact(q, what)
+        return _numerators(qs)
+    return 1, qs
+
+
+def _reduce(den: int, nums: Sequence[int]) -> tuple[int, Sequence[int]]:
+    """nums/den with den > 0, divided through by gcd(den, *nums): the
+    unique form of a rational vector over one denominator (den == 1 when
+    every entry is an integer, the zero vector included)."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return den // g, [a // g for a in nums]
+    return den, nums
+
+
+def _fraction_str(a: int, den: int) -> str:
+    """a/den as str(Fraction(a, den)) prints it, without building the Fraction."""
+    g = gcd(a, den)
+    return str(a // g) if g == den else f"{a // g}/{den // g}"
 
 
 class TruncatedSeries:
@@ -47,15 +78,7 @@ class TruncatedSeries:
     def __init__(self, bound: int, coeffs: Iterable[Fraction | int] = ()):
         if bound < 0:
             raise ValueError("series bound must be >= 0")
-        nums = list(islice(coeffs, bound + 1))
-        den = 1
-        if set(map(type, nums)) - {int}:
-            for q in nums:
-                if type(q) is not Fraction and type(q) is not int:
-                    _exact(q, "series coefficients")
-            # the lcm of reduced denominators leaves no factor common to
-            # all numerators, so this form is already the reduced one
-            den, nums = _numerators(nums)
+        den, nums = _exact_nums(islice(coeffs, bound + 1), "series coefficients")
         nums.extend([0] * (bound + 1 - len(nums)))
         self._init(bound, den, tuple(nums))
 
@@ -67,17 +90,16 @@ class TruncatedSeries:
     @classmethod
     def _reduced(cls, bound: int, den: int, nums: Sequence[int]) -> "TruncatedSeries":
         """The series nums/den with den > 0, divided through by gcd(den, *nums)."""
-        if den != 1:
-            g = gcd(den, *nums)
-            if g != 1:
-                den //= g
-                nums = [a // g for a in nums]
+        den, nums = _reduce(den, nums)
         out = object.__new__(cls)
         out._init(bound, den, tuple(nums))
         return out
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("TruncatedSeries is immutable")
+
+    def __reduce__(self):
+        return TruncatedSeries, (self.bound, self.coeffs)
 
     @classmethod
     def zero(cls, bound: int) -> "TruncatedSeries":
@@ -181,9 +203,7 @@ class TruncatedSeries:
             if k and a == den:
                 terms.append(f"t^{k}")
                 continue
-            # the coefficient as str(Fraction(a, den)) prints it
-            g = gcd(a, den)
-            q = str(a // g) if g == den else f"{a // g}/{den // g}"
+            q = _fraction_str(a, den)
             terms.append(q if k == 0 else f"{q}*t^{k}")
         body = " + ".join(terms) if terms else "0"
         return f"{body} + O(t^{self.bound + 1})"

@@ -37,15 +37,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
+from math import lcm
 from operator import neg
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .mackey import MINUS, PLUS, GradedTable, MackeyClass
 from .rolattice import VirtualRep
-from .series import _exact
+from .series import _exact, _numerators, _reduce
 
 # The bound of both sphere-table caches.  A box scan reads each column's table
 # once and reuses only prefixes built a few columns before; neither workload
@@ -393,7 +394,7 @@ def _sector_alive(v: VirtualRep, i: int, level: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SectorElement:
     """A homogeneous element of the point ring's value at one level.
 
@@ -404,27 +405,63 @@ class SectorElement:
     restriction multiplies by 2 per level).  Degree bookkeeping stays
     global; the exponents over the level's own alphabet are recovered
     on demand via restriction.
+
+    The coefficients are stored as ``nums``, the pairs (sector, numerator)
+    of the nonzero lines in sector order, over one positive denominator
+    ``den``, reduced so that ``gcd(den, *numerators) == 1`` (the zero
+    element has ``den == 1``).  That form is unique, so equality and
+    hashing compare integers, and the algebra runs on them; the
+    ``coeffs`` view reads the coefficients as Fractions.
     """
 
     level: int
     degree: VirtualRep
-    coeffs: tuple[tuple[int, Fraction], ...]
+    den: int
+    nums: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        n = self.degree.n
-        if not 0 <= self.level <= n:
-            raise ValueError(f"level {self.level} outside 0..{n}")
-        merged: dict[int, Fraction] = {}
-        for i, q in self.coeffs:
-            q = _exact(q, "sector coefficients")
+    def __init__(self, level: int, degree: VirtualRep,
+                 coeffs: Iterable[tuple[int, Fraction | int]]):
+        n = degree.n
+        if not 0 <= level <= n:
+            raise ValueError(f"level {level} outside 0..{n}")
+        merged: dict[int, Fraction | int] = {}
+        for i, q in coeffs:
+            if type(q) is not int:
+                q = _exact(q, "sector coefficients")
             if q == 0:
                 continue
-            if not _sector_alive(self.degree, i, self.level):
-                raise ValueError(f"sector {i} has no line in degree {self.degree} "
-                                 f"at level {self.level}")
-            merged[i] = merged.get(i, Fraction(0)) + q
-        object.__setattr__(self, "coeffs",
-                           tuple(sorted((i, q) for i, q in merged.items() if q != 0)))
+            if not _sector_alive(degree, i, level):
+                raise ValueError(f"sector {i} has no line in degree {degree} "
+                                 f"at level {level}")
+            merged[i] = merged.get(i, 0) + q
+        sectors = sorted(i for i, q in merged.items() if q)
+        den, nums = _numerators([merged[i] for i in sectors])
+        self._init(level, degree, den, tuple(zip(sectors, nums)))
+
+    def _init(self, level: int, degree: VirtualRep, den: int,
+              nums: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+
+    @classmethod
+    def _reduced(cls, level: int, degree: VirtualRep, den: int,
+                 lines: Mapping[int, int]) -> "SectorElement":
+        """The element with sector-i coordinate lines[i] / den (den > 0),
+        zero lines dropped, in reduced form."""
+        sectors = sorted(i for i, a in lines.items() if a)
+        den, nums = _reduce(den, [lines[i] for i in sectors])
+        out = object.__new__(cls)
+        out._init(level, degree, den, tuple(zip(sectors, nums)))
+        return out
+
+    @cached_property
+    def coeffs(self) -> tuple[tuple[int, Fraction], ...]:
+        """The pairs (sector, coefficient) of the nonzero lines as
+        Fractions, built on first read."""
+        den = self.den
+        return tuple((i, Fraction(a, den)) for i, a in self.nums)
 
     @property
     def n(self) -> int:
@@ -484,23 +521,25 @@ class SectorElement:
 
     # -- algebra --------------------------------------------------------------
 
-    def _coeff_map(self) -> dict[int, Fraction]:
-        return dict(self.coeffs)
-
     def __add__(self, other: "SectorElement") -> "SectorElement":
         if not isinstance(other, SectorElement):
             return NotImplemented
         if other.level != self.level or other.degree != self.degree:
             raise ValueError("operands are degree-inhomogeneous or live at different levels")
-        out = self._coeff_map()
-        for i, q in other.coeffs:
-            out[i] = out.get(i, Fraction(0)) + q
-        return SectorElement.from_dict(self.level, self.degree, out)
+        da, db = self.den, other.den
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        out = {i: a * fa for i, a in self.nums}
+        for i, b in other.nums:
+            out[i] = out.get(i, 0) + b * fb
+        return SectorElement._reduced(self.level, self.degree, den, out)
 
     def scale(self, q: Fraction | int) -> "SectorElement":
-        q = _exact(q, "scale factor")
-        return SectorElement(self.level, self.degree,
-                             tuple((i, q * a) for i, a in self.coeffs))
+        if type(q) is not int:
+            q = _exact(q, "scale factor")
+        p = q.numerator
+        return SectorElement._reduced(self.level, self.degree, self.den * q.denominator,
+                                      {i: p * a for i, a in self.nums})
 
     def __mul__(self, other: "SectorElement") -> "SectorElement":
         """Sectorwise product: exponents add within a sector, cross-sector
@@ -512,21 +551,20 @@ class SectorElement:
             raise ValueError("operands live at different levels")
         if other.n != self.n:
             raise ValueError("ambient group exponents differ")
-        theirs = other._coeff_map()
-        out = {}
-        for i, q in self.coeffs:
-            if i in theirs:
-                out[i] = q * theirs[i] * 2 ** (self.level - i)
-        return SectorElement.from_dict(self.level, self.degree + other.degree, out)
+        theirs = dict(other.nums)
+        level = self.level
+        out = {i: a * theirs[i] << (level - i) for i, a in self.nums if i in theirs}
+        return SectorElement._reduced(level, self.degree + other.degree,
+                                      self.den * other.den, out)
 
     def res(self, level: int) -> "SectorElement":
         """Restrict to a lower level: sectors above it are cut away and
         each surviving coordinate gains a factor 2 per level dropped."""
         if not 0 <= level <= self.level:
             raise ValueError(f"cannot restrict level {self.level} to {level}")
-        factor = Fraction(2 ** (self.level - level))
-        out = {i: q * factor for i, q in self.coeffs if i <= level}
-        return SectorElement.from_dict(level, self.degree, out)
+        shift = self.level - level
+        return SectorElement._reduced(level, self.degree, self.den,
+                                      {i: a << shift for i, a in self.nums if i <= level})
 
     def tr(self) -> "SectorElement":
         """Transfer one level up.  The transferred basis makes this
@@ -534,27 +572,32 @@ class SectorElement:
         if self.level >= self.n:
             raise ValueError("cannot transfer above the ambient group")
         target = self.level + 1
-        out = {i: q for i, q in self.coeffs if _sector_alive(self.degree, i, target)}
-        return SectorElement.from_dict(target, self.degree, out)
+        return SectorElement._reduced(target, self.degree, self.den,
+                                      {i: a for i, a in self.nums
+                                       if _sector_alive(self.degree, i, target)})
 
     def inverse(self) -> "SectorElement":
         """The sectorwise inverse: the product with it is the sum of the
         idempotents of the support (for a single-sector generator y_i*g
-        this is exactly y_i)."""
-        if not self.coeffs:
+        this is exactly y_i).  Coordinate a/den at sector i inverts to
+        den / (a * 4^(level-i)), put over the lcm of those denominators."""
+        if not self.nums:
             raise ValueError("the zero element has no inverse")
-        out = {i: Fraction(1, 1) / (q * 4 ** (self.level - i)) for i, q in self.coeffs}
-        return SectorElement.from_dict(self.level, -self.degree, out)
+        level, den = self.level, self.den
+        dens = {i: abs(a) << 2 * (level - i) for i, a in self.nums}
+        common = lcm(*dens.values())
+        out = {i: (den if a > 0 else -den) * (common // dens[i]) for i, a in self.nums}
+        return SectorElement._reduced(level, -self.degree, common, out)
 
     def project(self, sectors: Iterable[int]) -> "SectorElement":
         """Keep only the chosen sectors (multiplication by their
         idempotents)."""
         keep = set(sectors)
-        return SectorElement(self.level, self.degree,
-                             tuple((i, q) for i, q in self.coeffs if i in keep))
+        return SectorElement._reduced(self.level, self.degree, self.den,
+                                      {i: a for i, a in self.nums if i in keep})
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def monomials(self) -> tuple[tuple[int, SectorMonomial, Fraction], ...]:
         """The explicit local view: for each sector, the unique monomial
@@ -564,7 +607,7 @@ class SectorElement:
                      for i, q in self.coeffs)
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
         for i, mono, q in self.monomials():

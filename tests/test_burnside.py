@@ -9,6 +9,7 @@ the comparison to everything else.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -243,6 +244,83 @@ def test_integer_kernels_match_the_fraction_references(pair):
     assert from_marks(n, i, b.coeffs) == ref_from_marks(n, i, b.coeffs)
     assert from_marks(n, i, [int(q) for q in b.coeffs]) == ref_from_marks(
         n, i, [int(q) for q in b.coeffs])
+
+
+# ---------------------------------------------------------------------------
+# The stored form: integer numerators over one reduced denominator.
+
+def assert_canonical(a: BurnsideElement):
+    assert type(a.den) is int and all(type(x) is int for x in a.nums)
+    assert a.den > 0 and gcd(a.den, *a.nums) == 1
+    if a.is_zero():
+        assert a.den == 1
+
+
+def spellings(q: Fraction, k: int):
+    """The value q as an int when it is integral, and as a Fraction built
+    from the unreduced pair k*numerator / k*denominator (like Fraction(2, 4))."""
+    return (int(q) if q.denominator == 1 else q,
+            Fraction(k * q.numerator, k * q.denominator))
+
+
+@given(st.integers(min_value=0, max_value=6).flatmap(
+    lambda i: st.lists(mixed_coeffs.map(Fraction), min_size=i + 1, max_size=i + 1)),
+       st.integers(min_value=1, max_value=12))
+def test_equal_values_give_one_canonical_element(qs, k):
+    n, i = 6, len(qs) - 1
+    plain, scaled = zip(*(spellings(q, k) for q in qs))
+    forms = [BurnsideElement(n, i, qs), BurnsideElement(n, i, plain),
+             BurnsideElement(n, i, scaled), from_marks(n, i, BurnsideElement(n, i, qs).marks())]
+    for a in forms:
+        assert a == forms[0] and hash(a) == hash(forms[0])
+        assert (a.den, a.nums) == (forms[0].den, forms[0].nums)
+        assert_canonical(a)
+        assert a.coeffs == tuple(qs)
+        assert all(type(q) is Fraction for q in a.coeffs)
+    assert (forms[0].den == 1) == all(q.denominator == 1 for q in qs)
+
+
+def test_zero_has_denominator_one():
+    for coeffs in [(0, 0), (Fraction(0, 7), 0), (Fraction(0), Fraction(0))]:
+        a = BurnsideElement(2, 1, coeffs)
+        assert (a.den, a.nums) == (1, (0, 0))
+        assert a == BurnsideElement.zero(2, 1) and hash(a) == hash(BurnsideElement.zero(2, 1))
+    half = BurnsideElement.one(2, 1).scale(Fraction(1, 2))
+    assert (half - half).den == 1
+    assert half.scale(0).den == 1
+    assert (half * BurnsideElement.zero(2, 1)).den == 1
+
+
+@given(st.integers(min_value=0, max_value=8).flatmap(
+    lambda i: st.tuples(mixed_elements(9, i), mixed_elements(9, i))),
+       st.fractions(min_value=-9, max_value=9, max_denominator=12))
+def test_every_operation_returns_the_canonical_form(pair, q):
+    a, b = pair
+    n, i = a.n, a.i
+    results = [a + b, a - b, a.scale(q), a * b, from_marks(n, i, b.coeffs),
+               transferred_tops(n, i, list(enumerate(b.coeffs)))]
+    results += [a.res(h) for h in range(i + 1)]
+    if i < n:
+        results.append(a.tr())
+    for r in results:
+        assert_canonical(r)
+    assert (a * b).coeffs == ref_mul(a, b).coeffs
+    assert from_marks(n, i, b.coeffs).coeffs == ref_from_marks(n, i, b.coeffs).coeffs
+    assert a.scale(q).coeffs == tuple(q * x for x in a.coeffs)
+
+
+@given(st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=3),
+       st.sampled_from([0.5, 2.0, True, False]))
+def test_float_and_bool_coefficients_are_refused(i, slot, bad):
+    cs = [Fraction(1, 3)] * (i + 1)
+    cs[min(slot, i)] = bad
+    with pytest.raises(ValueError, match="coefficients must be int or Fraction"):
+        BurnsideElement(3, i, cs)
+    with pytest.raises(ValueError, match="marks must be int or Fraction"):
+        from_marks(3, i, cs)
+    with pytest.raises(ValueError, match="scale factor must be int or Fraction"):
+        BurnsideElement.one(3, i).scale(bad)
 
 
 @given(st.integers(min_value=0, max_value=3).flatmap(

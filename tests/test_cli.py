@@ -3,7 +3,9 @@ codes, both output formats, the file sink, and the failure paths
 (including deliberately corrupted method tables)."""
 
 import argparse
+import copy
 import json
+import pickle
 import subprocess
 import sys
 import time
@@ -819,6 +821,40 @@ def test_bridge_check_catches_a_wrong_map(monkeypatch, capsys, weight):
     status, lines, _ = run_lines(capsys, ["selftest"])
     assert status == 1
     assert "check=sector_burnside_bridge | status=FAIL" in "\n".join(lines)
+
+
+def test_collapse_check_compares_two_computations(monkeypatch):
+    assert cli._check_collapse(8) is None
+    expand = cli.collapse_expand
+
+    def skewed_expand(f, s):
+        c = expand(f, s)
+        return (*c[:-1], c[-1] + Fraction(1, 3))
+
+    monkeypatch.setattr(cli, "collapse_expand", skewed_expand)
+    assert cli._check_collapse(3) == "collapse expansion breaks at s=1, eigenvalue 1"
+    monkeypatch.undo()
+
+    def swapped_idempotents(s):
+        pres = classifying.collapse(s)
+        return classifying.CollapsePresentation(s, pres.minimal_polynomial,
+                                                pres.idempotents[::-1])
+
+    monkeypatch.setattr(cli, "collapse", swapped_idempotents)
+    assert cli._check_collapse(3) == "collapse expansion breaks at s=2, eigenvalue 1"
+
+
+@pytest.mark.parametrize("value", [
+    TruncatedSeries(4, (1, Fraction(-2, 3), 0, 5)),
+    BurnsideElement(3, 2, (Fraction(1, 2), -3, 0)),
+    SectorElement.orient_lambda(3, 1).scale(Fraction(-2, 7)),
+], ids=lambda v: type(v).__name__)
+def test_integer_backed_values_are_immutable_and_copy(value):
+    with pytest.raises(AttributeError):
+        value.den = 2
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and hash(twin) == hash(value)
+        assert (twin.den, twin.nums) == (value.den, value.nums)
 
 
 # ---------------------------------------------------------------------------

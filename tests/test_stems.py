@@ -13,6 +13,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -641,7 +642,7 @@ def test_sector_element_errors():
         unit(n, 1).scale(0).inverse()
 
 
-@pytest.mark.parametrize("bad", [0.5, True])
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, False])
 def test_sector_inexact_inputs_are_rejected(bad):
     zero = VirtualRep.zero(1)
     with pytest.raises(ValueError, match="sector coefficients must be int or Fraction"):
@@ -660,6 +661,80 @@ def test_sector_exact_inputs_are_kept():
     assert all(type(q) is Fraction for _, q in a.coeffs)
     assert a.scale(half).coeffs == ((0, Fraction(1, 4)), (1, half))
     assert a.scale(2) == a + a
+
+
+# The stored form: (sector, numerator) pairs over one reduced denominator.
+
+def assert_sector_canonical(e: SectorElement):
+    sectors = [i for i, _ in e.nums]
+    nums = [a for _, a in e.nums]
+    assert type(e.den) is int and all(type(a) is int for a in nums)
+    assert e.den > 0 and gcd(e.den, *nums) == 1
+    assert all(nums) and sectors == sorted(set(sectors))
+    if e.is_zero():
+        assert e.den == 1
+
+
+def as_coeffs(lines) -> tuple:
+    """The coeffs view a Fraction-valued {sector: coefficient} map should read as."""
+    return tuple(sorted((i, Fraction(q)) for i, q in lines.items() if q))
+
+
+sector_coeffs = st.one_of(st.just(0), st.integers(min_value=-9, max_value=9),
+                          st.fractions(min_value=-20, max_value=20, max_denominator=48))
+
+
+def sector_lines(level: int):
+    return st.lists(sector_coeffs.map(Fraction), min_size=level + 1, max_size=level + 1)
+
+
+@given(st.integers(min_value=0, max_value=4).flatmap(sector_lines),
+       st.integers(min_value=1, max_value=12))
+def test_equal_sector_values_give_one_canonical_element(qs, k):
+    n, level, zero = 4, len(qs) - 1, VirtualRep.zero(4)
+    plain = [(i, int(q) if q.denominator == 1 else q) for i, q in enumerate(qs)]
+    unreduced = [(i, Fraction(k * q.numerator, k * q.denominator)) for i, q in enumerate(qs)]
+    # every line split into two halves, listed in reverse sector order, plus zero lines
+    split = [(i, q / 2) for i, q in reversed(list(enumerate(qs)))] * 2
+    split += [(i, 0) for i in range(level + 1)]
+    forms = [SectorElement(level, zero, tuple(enumerate(qs))),
+             SectorElement(level, zero, plain), SectorElement(level, zero, unreduced),
+             SectorElement(level, zero, split)]
+    for e in forms:
+        assert e == forms[0] and hash(e) == hash(forms[0])
+        assert (e.den, e.nums) == (forms[0].den, forms[0].nums)
+        assert_sector_canonical(e)
+        assert e.coeffs == as_coeffs(dict(enumerate(qs)))
+    assert SectorElement(level, zero, [(0, 0), (0, Fraction(0, 5))]).den == 1
+
+
+@given(st.integers(min_value=0, max_value=4).flatmap(
+    lambda level: st.tuples(sector_lines(level), sector_lines(level))),
+       st.fractions(min_value=-9, max_value=9, max_denominator=12),
+       st.sets(st.integers(min_value=0, max_value=4)))
+def test_sector_operations_match_the_fraction_references(pair, q, keep):
+    """Each operation on numerators against its definition on Fractions."""
+    n, zero = 4, VirtualRep.zero(4)
+    qs, rs = pair
+    level = len(qs) - 1
+    a = SectorElement.from_dict(level, zero, dict(enumerate(qs)))
+    b = SectorElement.from_dict(level, zero, dict(enumerate(rs)))
+    cases = [
+        (a + b, {i: x + y for i, (x, y) in enumerate(zip(qs, rs))}),
+        (a.scale(q), {i: q * x for i, x in enumerate(qs)}),
+        (a * b, {i: x * y * 2 ** (level - i) for i, (x, y) in enumerate(zip(qs, rs))}),
+        (a.project(keep), {i: x for i, x in enumerate(qs) if i in keep}),
+    ]
+    cases += [(a.res(h), {i: x * 2 ** (level - h) for i, x in enumerate(qs) if i <= h})
+              for h in range(level + 1)]
+    if level < n:
+        cases.append((a.tr(), dict(enumerate(qs))))
+    if not a.is_zero():
+        cases.append((a.inverse(), {i: 1 / (x * 4 ** (level - i))
+                                    for i, x in enumerate(qs) if x}))
+    for got, want in cases:
+        assert_sector_canonical(got)
+        assert got.coeffs == as_coeffs(want)
 
 
 def test_monomials_view_and_str():
@@ -737,6 +812,41 @@ def test_presentation_degrees_carry_the_stems():
             for name, column in STEM_METHODS.items():
                 assert at(column, v) == want, (n, str(v), name)
                 assert at(column, -v) == want, (n, str(-v), name)
+
+
+def presentation_element(n: int, g) -> SectorElement:
+    """The SectorElement behind one printed generator of point_presentation."""
+    if g.family == 1:
+        return SectorElement.orient_sigma(n).project([g.sector])
+    if g.family == 2:
+        return SectorElement.orient_lambda(n, g.lam_index).project([g.sector])
+    if g.family == 3:
+        return SectorElement.euler_lambda(n, g.lam_index).project([g.sector])
+    return SectorElement.euler_sigma(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_presentation_generators_are_invertible_sector_lines(n):
+    # each printed generator is one nonzero sector line in its printed
+    # degree and sign, and its inverse partner multiplies it to y_sector
+    pres = point_presentation(n)
+    for g in pres.generators:
+        e = presentation_element(n, g)
+        assert not e.is_zero(), g.name
+        assert [i for i, _ in e.nums] == [g.sector], g.name
+        assert e.degree == g.degree, g.name
+        assert e.level == (n - 1 if g.family == 1 else n), g.name
+        assert g.degree.fixed_sign(g.sector) == g.sign, g.name
+        assert e * e.inverse() == SectorElement.unit(n, e.level).project([g.sector]), g.name
+    classes = {"a_sigma": SectorElement.euler_sigma(n), "u_2sigma": SectorElement.orient_2sigma(n)}
+    for k in range(n - 1):
+        classes[f"u_l{k}"] = SectorElement.orient_lambda(n, k)
+        classes[f"a_l{k}"] = SectorElement.euler_lambda(n, k)
+    vanishing = [rel.removesuffix(" = 0") for rel in pres.relations if rel.endswith(" = 0")]
+    assert len(vanishing) + len(pres.generators) == len(pres.relations)
+    for rel in vanishing:
+        left, right = rel.split("*")
+        assert (classes[left] * classes[right]).is_zero(), rel
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
