@@ -216,10 +216,10 @@ def from_marks(n: int, i: int, marks: Sequence[Fraction | int]) -> BurnsideEleme
     first differences coeffs[0] = marks[i] and
     coeffs[1+h] = (marks[h] - marks[h+1]) / 2^(i-h).
     """
+    _check_level(n, i)
     if len(marks) != i + 1:
         raise ValueError(f"expected {i + 1} marks at level {i}")
     den, ms = _exact_nums(marks, "marks")
-    _check_level(n, i)
     return _from_mark_nums(n, i, den, ms)
 
 

@@ -37,7 +37,8 @@ On top of the diagrams sit the comparison checks:
 ``collapse`` handles the multiplicative layer: a degree-0 class with
 integral spectrum 0..s splits into orthogonal idempotents, and
 ``collapse_expand`` rewrites polynomials in such a class against that
-idempotent basis.
+idempotent basis.  The polynomials are integer numerators, evaluated by
+one integer Horner (``_eval_at``).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import Callable, Iterator, Sequence
 
 from .burnside import BurnsideElement, transferred_tops
 from .mackey import PLUS, GradedTable, MackeyClass, classify
-from .series import TruncatedSeries, _exact, _numerators
+from .series import TruncatedSeries, _exact_nums
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -403,20 +404,15 @@ def bsigma2_consistency(n: int, bound: int = 6) -> SigmaTwoComparison:
 # ---------------------------------------------------------------------------
 # Idempotent collapse of a class with integral spectrum.
 
-def _poly_eval(coeffs: Sequence[Fraction | int], x: Fraction) -> Fraction:
-    """coeffs[0] + coeffs[1]*x + ... at x = p/q, by Horner on integers:
-    with numerators c_k over den, the value is
-    sum_k c_k p^k q^(d-k) / (den q^d), d the degree."""
-    den, nums = _numerators(coeffs)
-    p, q = x.numerator, x.denominator
-    acc, qpow = 0, 1
+def _eval_at(nums: Sequence[int], x: int) -> int:
+    """The integer polynomial nums[0] + nums[1]*x + ... at an integer x, by Horner."""
+    acc = 0
     for c in reversed(nums):
-        acc = acc * p + c * qpow
-        qpow *= q
-    return Fraction(acc * q, den * qpow)  # qpow ends at q^(d+1)
+        acc = acc * x + c
+    return acc
 
 
-def _poly_from_roots(roots: Sequence[int]) -> tuple[Fraction, ...]:
+def _poly_from_roots(roots: Sequence[int]) -> tuple[int, ...]:
     coeffs = [1]
     for r in roots:
         nxt = [0] * (len(coeffs) + 1)
@@ -424,23 +420,27 @@ def _poly_from_roots(roots: Sequence[int]) -> tuple[Fraction, ...]:
             nxt[i] -= c * r
             nxt[i + 1] += c
         coeffs = nxt
-    return tuple(map(Fraction, coeffs))
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
 class CollapsePresentation:
     """Idempotent splitting of a degree-0 class e with spectrum 0..s:
     the minimal polynomial x(x-1)...(x-s) and, for each nonzero
-    eigenvalue i, the polynomial in e projecting onto it."""
+    eigenvalue i, the polynomial in e projecting onto it.  Both are
+    integer numerators: the minimal polynomial's coefficients, and each
+    idempotent as a reduced pair (den, nums) of coefficients nums[k] / den
+    with den > 0 and gcd(den, *nums) == 1."""
 
     s: int
-    minimal_polynomial: tuple[Fraction, ...]
-    idempotents: tuple[tuple[Fraction, ...], ...]
+    minimal_polynomial: tuple[int, ...]
+    idempotents: tuple[tuple[int, tuple[int, ...]], ...]
 
     def idempotent(self, i: int) -> tuple[Fraction, ...]:
         if not 1 <= i <= self.s:
             raise ValueError(f"eigenvalue index {i} outside 1..{self.s}")
-        return self.idempotents[i - 1]
+        den, nums = self.idempotents[i - 1]
+        return tuple(Fraction(a, den) for a in nums)
 
 
 def collapse(s: int) -> CollapsePresentation:
@@ -449,12 +449,13 @@ def collapse(s: int) -> CollapsePresentation:
     with f_i vanishing at every other eigenvalue and f_i(i) = 1."""
     if s < 1:
         raise ValueError("collapse needs s >= 1")
-    minimal = _poly_from_roots(list(range(s + 1)))
+    minimal = _poly_from_roots(range(s + 1))
     idems = []
     for i in range(1, s + 1):
         f = _poly_from_roots([j for j in range(s + 1) if j != i])
-        value = _poly_eval(f, Fraction(i))
-        idems.append(tuple(c / value for c in f))
+        value = _eval_at(f, i)
+        # f is monic, so (|value|, +-f) is already reduced
+        idems.append((abs(value), tuple(a if value > 0 else -a for a in f)))
     return CollapsePresentation(s, minimal, tuple(idems))
 
 
@@ -464,9 +465,7 @@ def collapse_expand(f: Sequence[Fraction | int], s: int) -> tuple[Fraction, ...]
     off by evaluating on the spectrum (c_0 = f(0), c_i = f(i) - f(0))."""
     if s < 1:
         raise ValueError("collapse needs s >= 1")
-    coeffs = [_exact(c, "polynomial coefficients") for c in f]
-    base = _poly_eval(coeffs, Fraction(0))
-    out = [base]
-    for i in range(1, s + 1):
-        out.append(_poly_eval(coeffs, Fraction(i)) - base)
-    return tuple(out)
+    den, nums = _exact_nums(f, "polynomial coefficients")
+    base = _eval_at(nums, 0)
+    return (Fraction(base, den),
+            *(Fraction(_eval_at(nums, i) - base, den) for i in range(1, s + 1)))

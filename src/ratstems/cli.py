@@ -33,8 +33,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__
 from .burnside import BurnsideElement, _transferred_tops, from_marks, idempotents
-from .classifying import (bgs1_presentation, bsigma2_consistency, collapse,
-                          collapse_expand, fixed_point_data, gm_assemble,
+from .classifying import (_eval_at, bgs1_presentation, bsigma2_consistency,
+                          collapse, collapse_expand, fixed_point_data, gm_assemble,
                           torus_check_su2, torus_check_u)
 from .mackey import MackeyClass, NonSignIsotypicError
 from .rolattice import VirtualRep, parse_degree
@@ -196,32 +196,21 @@ def _check_torus(n_max: int) -> str | None:
     return None
 
 
-def _eval_at(nums: Sequence[int], x: int) -> int:
-    """The integer polynomial nums[0] + nums[1]*x + ... at an integer x."""
-    acc = 0
-    for c in reversed(nums):
-        acc = acc * x + c
-    return acc
-
-
 def _check_collapse(s_max: int) -> str | None:
-    """f(x) against its collapse expansion c_0 + sum_i c_i * e_i(x) on the
-    spectrum x = 0..s.  Each polynomial is taken once as numerators over
-    its denominator, and the two sides are compared over the product of
-    f's, the expansion's and the lcm of the idempotents' denominators."""
+    """f(x) = 0 + 1*x + ... + s*x^s against its collapse expansion
+    c_0 + sum_i c_i * e_i(x) on the spectrum x = 0..s, compared over the
+    expansion's denominator times the lcm of the idempotents' ones."""
     for s in range(1, s_max + 1):
         pres = collapse(s)
-        f = tuple(Fraction(c) for c in range(s + 1))
-        fden, fnums = _numerators(f)
+        f = tuple(range(s + 1))
         eden, enums = _numerators(collapse_expand(f, s))
-        idems = [_numerators(pres.idempotent(i)) for i in range(1, s + 1)]
-        common = lcm(*(d for d, _ in idems))
-        idems = [(common // d, nums) for d, nums in idems]
+        common = lcm(*(d for d, _ in pres.idempotents))
+        idems = [(common // d, nums) for d, nums in pres.idempotents]
         for x in range(s + 1):
-            direct = _eval_at(fnums, x) * eden * common
+            direct = _eval_at(f, x) * eden * common
             recon = enums[0] * common + sum(c * scale * _eval_at(nums, x)
                                             for c, (scale, nums) in zip(enums[1:], idems))
-            if direct != recon * fden:
+            if direct != recon:
                 return f"collapse expansion breaks at s={s}, eigenvalue {x}"
     return None
 

@@ -29,8 +29,8 @@ off the closed column.
 
 The module also carries the monomial model itself (``SectorElement``,
 ``SectorMonomial``), a structured generators-and-relations presentation
-of the point (``point_presentation``) and the degree lattices of the
-geometric and homotopy fixed-point rings (``fixed_point_rings``).
+of the point (``point_presentation``) and the check of the geometric and
+homotopy fixed-point lattices against the stems (``lattice_mismatches``).
 """
 
 from __future__ import annotations
@@ -696,39 +696,6 @@ def point_presentation(n: int) -> PointPresentation:
     return PointPresentation(n, tuple(gens), tuple(relations), note)
 
 
-@dataclass(frozen=True)
-class FixedPointRings:
-    """Degree lattices of the geometric and homotopy fixed-point rings.
-
-    Both rings are Laurent: the geometric one on the Euler classes
-    (dimension 1 exactly where d = 0, the top sector's lattice), the
-    homotopy one on the invertible even orientation classes u_2sigma
-    and u_l_k (the even-u sublattice of sector 0).  Inverting the Euler
-    classes kills every orientation lattice and conversely, so the Tate
-    construction vanishes.
-    """
-
-    n: int
-
-    def geometric_dim(self, v: VirtualRep) -> int:
-        self._check(v)
-        return 1 if v.d == 0 else 0
-
-    def homotopy_dim(self, v: VirtualRep) -> int:
-        self._check(v)
-        return 1 if v.s % 2 == 0 and v.d == -v.s - 2 * sum(v.c) else 0
-
-    def _check(self, v: VirtualRep) -> None:
-        if v.n != self.n:
-            raise ValueError("degree has the wrong ambient exponent")
-
-
-def fixed_point_rings(n: int) -> FixedPointRings:
-    if n < 1:
-        raise ValueError("fixed-point rings need n >= 1")
-    return FixedPointRings(n)
-
-
 def box_columns(n: int, bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """The d-columns of the box [-bound, bound]^(n+1): the (s, c) parts
     of its degrees in lexicographic order (for n = 0 only (0, ()))."""
@@ -741,24 +708,28 @@ def box_columns(n: int, bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
 
 
 def lattice_mismatches(n: int, bound: int) -> list[str]:
-    """Compare the two fixed-point lattices against stem multiplicities
-    over the coordinate box [-bound, bound]^(n+1), one d-column at a
-    time: the geometric lattice must match the M_n multiplicity, the
-    homotopy lattice the M_0^+ multiplicity.  In a column the three are
-    nonzero only at the d of ``closed_column``, at d = 0 and at
-    d = -s - 2*sum(c).  Returns human-readable mismatch reports
-    (expected empty), ordered by d, then s, then c."""
-    rings = fixed_point_rings(n)
+    """Compare the degree lattices of the two fixed-point rings with stem
+    multiplicities over the box [-bound, bound]^(n+1), one d-column at a
+    time.  Both rings are Laurent.  The geometric one, on the Euler
+    classes, has dimension 1 exactly at d = 0 (the top sector's lattice),
+    matched with the M_n multiplicity; the homotopy one, on u_2sigma and
+    the u_l_k, exactly at even s and d = -s - 2*sum(c) (the even-u
+    sublattice of sector 0), matched with the M_0^+ multiplicity.  A
+    column's stems are nonzero only at the d of ``closed_column``.
+    Returns mismatch reports (expected empty), ordered by d, then s, then c."""
+    if n < 1:
+        raise ValueError("fixed-point rings need n >= 1")
     window = range(-bound, bound + 1)
     bad = []
     for s, c in box_columns(n, bound):
         column = closed_column(n, s, c)
-        for d in {*column, 0, -s - 2 * sum(c)}.intersection(window):
-            v = VirtualRep(n, d, s, c)
-            cls = column.get(d, MackeyClass.zero(n))
-            if rings.geometric_dim(v) != cls.mult(n, PLUS):
-                bad.append((v, f"geometric lattice disagrees with M{n} multiplicity at {v}"))
-            if rings.homotopy_dim(v) != cls.mult(0, PLUS):
-                bad.append((v, f"homotopy lattice disagrees with M0 multiplicity at {v}"))
-    bad.sort(key=lambda item: (item[0].d, item[0].s, item[0].c))
-    return [report for _, report in bad]
+        sector0 = -s - 2 * sum(c)
+        for d in {*column, 0, sector0}.intersection(window):
+            cls = column.get(d)
+            top, bottom = (0, 0) if cls is None else (cls.mult(n, PLUS), cls.mult(0, PLUS))
+            if (1 if d == 0 else 0) != top:
+                bad.append(((d, s, c), f"geometric lattice disagrees with M{n} multiplicity"))
+            if (1 if s % 2 == 0 and d == sector0 else 0) != bottom:
+                bad.append(((d, s, c), "homotopy lattice disagrees with M0 multiplicity"))
+    bad.sort(key=lambda item: item[0])
+    return [f"{what} at {VirtualRep(n, *key)}" for key, what in bad]

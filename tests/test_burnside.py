@@ -416,6 +416,15 @@ def test_validation():
             BurnsideElement.one(n, i)
 
 
+@pytest.mark.parametrize("level,marks", [("1", [1, 1]), (None, [1])])
+def test_from_marks_checks_the_level_first(level, marks):
+    # the level is validated before its length is compared with the marks
+    with pytest.raises(ValueError, match="ambient exponent n and level i must be integers"):
+        BurnsideElement(2, level, marks)
+    with pytest.raises(ValueError, match="ambient exponent n and level i must be integers"):
+        from_marks(2, level, marks)
+
+
 @pytest.mark.parametrize("bad", [1.5, True, "1/2"])
 def test_inexact_inputs_are_rejected(bad):
     with pytest.raises(ValueError, match="must be integers"):

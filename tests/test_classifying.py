@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ratstems.burnside import BurnsideElement
 from ratstems import classifying
@@ -24,7 +24,7 @@ from ratstems.classifying import (FixedPointDiagram, LevelComponents,
                                   collapse_expand, compositions,
                                   fixed_point_data, gm_assemble,
                                   sym_invariants_series, torus_check_su2,
-                                  torus_check_u, _poly_eval, _poly_from_roots)
+                                  torus_check_u, _eval_at, _poly_from_roots)
 from ratstems.mackey import MINUS, PLUS, GradedTable, MackeyClass, classify
 from ratstems.rolattice import VirtualRep, parse_degree
 from ratstems.series import TruncatedSeries
@@ -558,36 +558,34 @@ def test_collapse_round_trip(s):
         assert lhs == rhs
 
 
-@given(coeffs=st.lists(st.one_of(st.integers(min_value=-20, max_value=20),
-                                 st.fractions(min_value=-20, max_value=20, max_denominator=50)),
-                       max_size=8),
-       x=st.fractions(min_value=-10, max_value=10, max_denominator=12))
-def test_poly_eval_matches_fraction_horner(coeffs, x):
-    # selftest only evaluates at integers, where the denominator of x is 1;
-    # non-integer and negative x exercise the scaling by its powers
-    value = _poly_eval(coeffs, x)
-    assert value == poly_eval(coeffs, x)
-    assert type(value) is Fraction
-
-
-def test_poly_eval_worked_cases():
-    assert _poly_eval([], Fraction(3, 7)) == 0
-    assert type(_poly_eval([], Fraction(3, 7))) is Fraction
-    assert _poly_eval([1, 2, 3], Fraction(-1, 2)) == Fraction(3, 4)
-    assert _poly_eval([Fraction(1, 3), 0, -1], Fraction(2, 3)) == Fraction(-1, 9)
-    assert _poly_eval([0, 0, 0, 1], Fraction(-5, 4)) == Fraction(-125, 64)
-    assert _poly_eval((5,), Fraction(9, 2)) == 5
-    assert _poly_eval([1, 1], 4) == 5
+@given(nums=st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6), max_size=8),
+       x=st.integers(min_value=-10, max_value=10))
+@example(nums=[], x=3)
+@example(nums=[1, 2, 3], x=-2)
+@example(nums=[0, 0, 0, 1], x=-5)
+@example(nums=(5,), x=9)
+def test_eval_at_matches_fraction_horner(nums, x):
+    # the collapse evaluates integer numerators at the integer spectrum
+    value = _eval_at(nums, x)
+    assert value == poly_eval(nums, Fraction(x))
+    assert type(value) is int
 
 
 def test_poly_from_roots_is_exact():
     for roots in ([], [0], [3, -2], list(range(6)), [1, 1, -4]):
         coeffs = _poly_from_roots(roots)
         assert len(coeffs) == len(roots) + 1 and coeffs[-1] == 1
-        assert all(type(c) is Fraction for c in coeffs)
+        assert all(type(c) is int for c in coeffs)
         assert all(poly_eval(coeffs, Fraction(r)) == 0 for r in roots)
         assert poly_eval(coeffs, Fraction(1, 2)) == math.prod(
             Fraction(1, 2) - r for r in roots)
+
+
+def test_collapse_idempotents_are_reduced_integer_pairs():
+    for s in range(1, 9):
+        for den, nums in collapse(s).idempotents:
+            assert all(type(a) is int for a in (den, *nums))
+            assert den > 0 and math.gcd(den, *nums) == 1
 
 
 def test_collapse_errors():

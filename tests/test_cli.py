@@ -844,6 +844,26 @@ def test_collapse_check_compares_two_computations(monkeypatch):
     assert cli._check_collapse(3) == "collapse expansion breaks at s=2, eigenvalue 1"
 
 
+def test_collapse_check_catches_a_wrong_denominator(monkeypatch):
+    def doubled_den(s):
+        pres = classifying.collapse(s)
+        (den, nums), *rest = pres.idempotents
+        return classifying.CollapsePresentation(s, pres.minimal_polynomial,
+                                                ((2 * den, nums), *rest))
+
+    monkeypatch.setattr(cli, "collapse", doubled_den)
+    assert cli._check_collapse(3) == "collapse expansion breaks at s=1, eigenvalue 1"
+
+
+def test_lattice_check_catches_a_shifted_column(monkeypatch, capsys):
+    closed = stems.closed_column
+    monkeypatch.setattr(stems, "closed_column", lambda n, s, c: {
+        d + 1: cls for d, cls in closed(n, s, c).items()})
+    status, lines, _ = run_lines(capsys, ["selftest"])
+    assert status == 1
+    assert "check=fixed_point_lattices | status=FAIL" in "\n".join(lines)
+
+
 @pytest.mark.parametrize("value", [
     TruncatedSeries(4, (1, Fraction(-2, 3), 0, 5)),
     BurnsideElement(3, 2, (Fraction(1, 2), -3, 0)),

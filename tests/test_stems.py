@@ -23,9 +23,8 @@ from ratstems.mackey import MINUS, PLUS, MackeyClass
 from ratstems.rolattice import VirtualRep, parse_degree
 from ratstems.stems import (STEM_METHODS, SectorElement, SectorMonomial,
                             StemTuple, TupleAmbiguityError, decode_degree,
-                            fixed_point_rings, lattice_mismatches,
-                            point_presentation, sector_alphabet,
-                            sphere_homology, stem_at)
+                            lattice_mismatches, point_presentation,
+                            sector_alphabet, sphere_homology, stem_at)
 
 
 def M(n, *pairs):
@@ -308,6 +307,18 @@ def test_box_columns_are_the_columns_of_box_degrees(n, bound):
         stems.box_columns(n, -1)
 
 
+def geometric_dim(v):
+    """The geometric fixed-point ring, Laurent on the Euler classes: one
+    dimension exactly at d = 0."""
+    return 1 if v.d == 0 else 0
+
+
+def homotopy_dim(v):
+    """The homotopy fixed-point ring, Laurent on u_2sigma and the u_l_k:
+    one dimension exactly at even s and d = -s - 2*sum(c)."""
+    return 1 if v.s % 2 == 0 and v.d == -v.s - 2 * sum(v.c) else 0
+
+
 @pytest.mark.parametrize("corrupt", ["none", "empty", "shifted"])
 def test_lattice_mismatches_match_dense_walk(corrupt, monkeypatch):
     closed = stems.closed_column
@@ -317,13 +328,12 @@ def test_lattice_mismatches_match_dense_walk(corrupt, monkeypatch):
         monkeypatch.setattr(stems, "closed_column", lambda n, s, c: {
             d + 1: cls for d, cls in closed(n, s, c).items()})
     for n, bound in [(1, 2), (2, 2), (3, 1)]:
-        rings = fixed_point_rings(n)
         want = []
         for v in box_degrees(n, bound):
             cls = stems.closed_column(n, v.s, v.c).get(v.d, MackeyClass.zero(n))
-            if rings.geometric_dim(v) != cls.mult(n, PLUS):
+            if geometric_dim(v) != cls.mult(n, PLUS):
                 want.append(f"geometric lattice disagrees with M{n} multiplicity at {v}")
-            if rings.homotopy_dim(v) != cls.mult(0, PLUS):
+            if homotopy_dim(v) != cls.mult(0, PLUS):
                 want.append(f"homotopy lattice disagrees with M0 multiplicity at {v}")
         assert lattice_mismatches(n, bound) == want
         assert bool(want) == (corrupt != "none")
@@ -851,13 +861,14 @@ def test_presentation_generators_are_invertible_sector_lines(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fixed_point_lattices_match_stems(n):
-    rings = fixed_point_rings(n)
     assert lattice_mismatches(n, 2) == []
-    for k in range(n - 1):
-        v = VirtualRep.one(n, 2) - VirtualRep.lam(n, k)
-        assert rings.homotopy_dim(v) == 1
-    assert rings.homotopy_dim(VirtualRep.one(n, 3)) == 0  # odd degree
-    assert rings.geometric_dim(VirtualRep(n, 0, 2, (0,) * (n - 1))) == 1
-    assert rings.geometric_dim(VirtualRep.one(n, 1)) == 0
-    with pytest.raises(ValueError):
-        rings.geometric_dim(VirtualRep.zero(n + 1))
+
+
+def test_fixed_point_lattices_match_stems_at_n5():
+    # 7^5 = 16,807 columns
+    assert lattice_mismatches(5, 3) == []
+
+
+def test_fixed_point_lattices_need_n_at_least_1():
+    with pytest.raises(ValueError, match="n >= 1"):
+        lattice_mismatches(0, 2)
