@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from ratstems.burnside import BurnsideElement
 from ratstems import classifying
@@ -560,15 +560,20 @@ def test_collapse_round_trip(s):
 
 @given(nums=st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6), max_size=8),
        x=st.integers(min_value=-10, max_value=10))
-@example(nums=[], x=3)
-@example(nums=[1, 2, 3], x=-2)
-@example(nums=[0, 0, 0, 1], x=-5)
-@example(nums=(5,), x=9)
-def test_eval_at_matches_fraction_horner(nums, x):
+def test_poly_eval_matches_fraction_horner(nums, x):
     # the collapse evaluates integer numerators at the integer spectrum
     value = _eval_at(nums, x)
     assert value == poly_eval(nums, Fraction(x))
     assert type(value) is int
+
+
+def test_poly_eval_worked_cases():
+    assert _eval_at([], 3) == 0
+    assert type(_eval_at([], 3)) is int
+    assert _eval_at([1, 2, 3], -2) == 9
+    assert _eval_at([0, 0, 0, 1], -5) == -125
+    assert _eval_at((5,), 9) == 5
+    assert _eval_at([1, 1], 4) == 5
 
 
 def test_poly_from_roots_is_exact():
