@@ -14,26 +14,23 @@ restriction is truncation of marks, and the primitive idempotents e_h
 are the pullbacks of the indicator vectors.  Transfers act on the basis
 by tr(x[i,j]) = x[i+1,j], so tr(1) = x[i+1,i].
 
-An element is stored as integer numerators ``nums`` over one positive
-denominator ``den``, reduced so that ``gcd(den, *nums) == 1`` (the zero
-element has ``den == 1``), the unique form ``TruncatedSeries`` uses; so
-equality and hashing compare integers.  Sums, scalings, products, marks,
-restrictions, transfers and their inverse all run on those integers: a
-product applies the relations to the numerators, marks are their suffix
-sum, and from_marks takes first differences.  ``fractions.Fraction``
-appears only at the boundary: in validating inputs and in the ``coeffs``
-and ``marks`` views.
+An element is stored in the reduced-numerator form that
+``series.Numerators`` owns: integer numerators ``nums`` over one
+positive denominator ``den``, so equality and hashing compare integers.
+Sums, scalings, products, marks, restrictions, transfers and their
+inverse all run on those integers: a product applies the relations to
+the numerators, marks are their suffix sum, and from_marks takes first
+differences.  ``fractions.Fraction`` appears only at the boundary: in
+validating inputs and in the ``coeffs`` and ``marks`` views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
 from typing import Iterable, Sequence
 
-from .series import _ZERO, _exact, _exact_nums, _fraction_str, _reduce
+from .series import _ZERO, Numerators, _exact_nums, _fraction_str
 
 
 def _check_level(n: object, i: object) -> None:
@@ -46,7 +43,7 @@ def _check_level(n: object, i: object) -> None:
 
 
 @dataclass(frozen=True, init=False)
-class BurnsideElement:
+class BurnsideElement(Numerators):
     """An element of A_Q(C_{2^i}) at the subgroup C_{2^i} of the ambient
     group C_{2^n}; coefficient 0 multiplies 1 and coefficient 1+j
     multiplies x[i,j].  Coefficient k is ``nums[k] / den``."""
@@ -61,27 +58,10 @@ class BurnsideElement:
         den, nums = _exact_nums(coeffs, "coefficients")
         if len(nums) != i + 1:
             raise ValueError(f"expected {i + 1} coefficients at level {i}")
-        self._init(n, i, den, tuple(nums))
+        self._fill((n, i), den, tuple(nums))
 
-    def _init(self, n: int, i: int, den: int, nums: tuple[int, ...]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
-
-    @classmethod
-    def _reduced(cls, n: int, i: int, den: int, nums: Sequence[int]) -> "BurnsideElement":
-        """The element nums/den at level i, with den > 0, in reduced form."""
-        den, nums = _reduce(den, nums)
-        out = object.__new__(cls)
-        out._init(n, i, den, tuple(nums))
-        return out
-
-    @cached_property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as Fractions, built on first read."""
-        den = self.den
-        return tuple(Fraction(a, den) if a else _ZERO for a in self.nums)
+    def _place(self) -> tuple:
+        return (self.n, self.i)
 
     @classmethod
     def zero(cls, n: int, i: int) -> "BurnsideElement":
@@ -107,38 +87,13 @@ class BurnsideElement:
             return cls.one(n, 0)
         return cls.one(n, i) - cls.x(n, i, i - 1).scale(Fraction(1, 2))
 
-    def _assert_same(self, other: "BurnsideElement") -> None:
-        if not isinstance(other, BurnsideElement):
-            raise TypeError("expected a BurnsideElement")
-        if (other.n, other.i) != (self.n, self.i):
-            raise ValueError("elements live at different levels")
-
-    def _combine(self, other: "BurnsideElement", sign: int) -> "BurnsideElement":
-        """self + sign * other over the lcm of the two denominators."""
-        self._assert_same(other)
-        da, db = self.den, other.den
-        den = lcm(da, db)
-        fa, fb = den // da, sign * (den // db)
-        return BurnsideElement._reduced(
-            self.n, self.i, den, [x * fa + y * fb for x, y in zip(self.nums, other.nums)])
-
-    def __add__(self, other: "BurnsideElement") -> "BurnsideElement":
-        return self._combine(other, 1)
-
     def __sub__(self, other: "BurnsideElement") -> "BurnsideElement":
-        return self._combine(other, -1)
-
-    def scale(self, q: Fraction | int) -> "BurnsideElement":
-        if type(q) is not int:
-            q = _exact(q, "scale factor")
-        p = q.numerator
-        return BurnsideElement._reduced(self.n, self.i, self.den * q.denominator,
-                                        [p * a for a in self.nums])
+        return self + other.scale(-1)
 
     def __mul__(self, other: "BurnsideElement") -> "BurnsideElement":
         """The product by the relations, on the integer numerators of both
         factors over the product of their denominators."""
-        self._assert_same(other)
+        place = self._same(other)
         i = self.i
         orbit = [i, *range(i)]  # coefficient slot -> j of its x[i,j]; the unit is x[i,i]
         b = other.nums
@@ -152,7 +107,7 @@ class BurnsideElement:
                     continue
                 k = orbit[b_idx]
                 out[a_idx if j <= k else b_idx] += p * q << (i - max(j, k))
-        return BurnsideElement._reduced(self.n, i, self.den * other.den, out)
+        return BurnsideElement._reduced(place, self.den * other.den, out)
 
     def _mark_nums(self) -> list[int]:
         """The numerators of the marks over ``den``.
@@ -184,10 +139,7 @@ class BurnsideElement:
         if self.i >= self.n:
             raise ValueError("cannot transfer above the ambient group")
         cs = self.nums
-        return BurnsideElement._reduced(self.n, self.i + 1, self.den, (0, *cs[1:], cs[0]))
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
+        return BurnsideElement._reduced((self.n, self.i + 1), self.den, (0, *cs[1:], cs[0]))
 
     def __str__(self) -> str:
         i, den, cs = self.i, self.den, self.nums
@@ -228,7 +180,7 @@ def _from_mark_nums(n: int, i: int, den: int, ms: Sequence[int]) -> BurnsideElem
     differences over den * 2^i, where step h carries 2^h."""
     out = [ms[i] << i]
     out += [(ms[h] - ms[h + 1]) << h for h in range(i)]
-    return BurnsideElement._reduced(n, i, den << i, out)
+    return BurnsideElement._reduced((n, i), den << i, out)
 
 
 def transferred_tops(n: int, level: int,
@@ -254,7 +206,7 @@ def _transferred_tops(n: int, level: int, den: int,
         out[0 if i == level else 1 + i] += 2 * q  # slot of x[L,i]; x[L,L] is the unit
         if i:
             out[i] -= q  # slot of x[L,i-1]
-    return BurnsideElement._reduced(n, level, 2 * den, out)
+    return BurnsideElement._reduced((n, level), 2 * den, out)
 
 
 def idempotents(n: int, i: int) -> list[BurnsideElement]:

@@ -94,7 +94,7 @@ def sector_to_burnside(elem: SectorElement) -> BurnsideElement:
     v = elem.degree
     if v.d or v.s or any(v.c):
         raise ValueError("only degree-0 elements live in the Burnside algebra")
-    return _transferred_tops(elem.n, elem.level, elem.den, elem.nums)
+    return _transferred_tops(elem.n, elem.level, elem.den, enumerate(elem.nums))
 
 
 # ---------------------------------------------------------------------------

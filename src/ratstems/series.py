@@ -10,11 +10,18 @@ truncations and substitutions all run on those integers, and
 ``fractions.Fraction`` appears only when ``coeffs`` or ``coeff`` reads a
 coefficient, so identities such as ``(1 - t^2) * 1/(1 - t^2) == 1`` hold
 exactly inside the window.
+
+``Numerators`` is the one owner of that reduced-numerator form:
+reduction, the type-and-place check, sums, scalings and the ``Fraction``
+view.  Series, Burnside elements (``burnside``) and sector elements
+(``stems``) are frozen dataclasses on it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -52,54 +59,104 @@ def _exact_nums(qs: Iterable[Fraction | int], what: str) -> tuple[int, list[int]
     return 1, qs
 
 
-def _reduce(den: int, nums: Sequence[int]) -> tuple[int, Sequence[int]]:
-    """nums/den with den > 0, divided through by gcd(den, *nums): the
-    unique form of a rational vector over one denominator (den == 1 when
-    every entry is an integer, the zero vector included)."""
-    if den != 1:
-        g = gcd(den, *nums)
-        if g != 1:
-            return den // g, [a // g for a in nums]
-    return den, nums
-
-
 def _fraction_str(a: int, den: int) -> str:
     """a/den as str(Fraction(a, den)) prints it, without building the Fraction."""
     g = gcd(a, den)
     return str(a // g) if g == den else f"{a // g}/{den // g}"
 
 
-class TruncatedSeries:
+class Numerators:
+    """The reduced-numerator form of an exact rational vector at a place.
+
+    A value is integer numerators ``nums`` over one positive denominator
+    ``den``, reduced so that ``gcd(den, *nums) == 1`` (the zero vector has
+    ``den == 1``).  That form is unique, so equal values have equal
+    fields.  Subclasses are frozen dataclasses whose fields are their
+    place (what must match for two values to add), then ``den``, then
+    ``nums``; each defines ``_place`` to read the place back as one
+    tuple."""
+
+    den: int
+    nums: tuple[int, ...]
+
+    def __init_subclass__(cls) -> None:
+        # the place is every field annotated before den and nums
+        cls._place_fields = tuple(cls.__annotations__)[:-2]
+
+    def _fill(self, place: tuple, den: int, nums: tuple[int, ...]) -> None:
+        fields = vars(self)
+        fields.update(zip(self._place_fields, place))
+        fields["den"] = den
+        fields["nums"] = nums
+
+    @classmethod
+    def _reduced(cls, place: tuple, den: int, nums: Sequence[int]):
+        """The value nums/den at place, with den > 0, divided through by
+        gcd(den, *nums)."""
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = [a // g for a in nums]
+        out = object.__new__(cls)
+        out._fill(place, den, tuple(nums))
+        return out
+
+    def _same(self, other) -> tuple:
+        """The common place of self and other; refuses another type or place."""
+        if type(other) is not type(self):
+            raise TypeError(f"expected a {type(self).__name__}")
+        place = self._place()
+        if other._place() != place:
+            raise ValueError(f"{type(self).__name__} operands live at different places")
+        return place
+
+    def __add__(self, other):
+        place = self._same(other)
+        da, db = self.den, other.den
+        if da == db:
+            nums = [x + y for x, y in zip(self.nums, other.nums)]
+        else:
+            den = lcm(da, db)
+            fa, fb = den // da, den // db
+            nums = [x * fa + y * fb for x, y in zip(self.nums, other.nums)]
+            da = den
+        return self._reduced(place, da, nums)
+
+    def scale(self, q: Fraction | int):
+        if type(q) is not int:
+            q = _exact(q, "scale factor")
+        p = q.numerator
+        return self._reduced(self._place(), self.den * q.denominator, [p * a for a in self.nums])
+
+    def is_zero(self) -> bool:
+        return not any(self.nums)
+
+    @cached_property
+    def coeffs(self) -> tuple:
+        """The entries as Fractions, built on first read."""
+        den = self.den
+        return tuple(Fraction(a, den) if a else _ZERO for a in self.nums)
+
+
+@dataclass(frozen=True, init=False)
+class TruncatedSeries(Numerators):
     """A power series in one variable t, truncated above degree ``bound``:
     coefficient k is ``nums[k] / den``."""
 
-    __slots__ = ("bound", "den", "nums", "_coeffs")
+    bound: int
+    den: int
+    nums: tuple[int, ...]
 
     def __init__(self, bound: int, coeffs: Iterable[Fraction | int] = ()):
         if bound < 0:
             raise ValueError("series bound must be >= 0")
         den, nums = _exact_nums(islice(coeffs, bound + 1), "series coefficients")
         nums.extend([0] * (bound + 1 - len(nums)))
-        self._init(bound, den, tuple(nums))
+        self._fill((bound,), den, tuple(nums))
 
-    def _init(self, bound: int, den: int, nums: tuple[int, ...]) -> None:
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
-
-    @classmethod
-    def _reduced(cls, bound: int, den: int, nums: Sequence[int]) -> "TruncatedSeries":
-        """The series nums/den with den > 0, divided through by gcd(den, *nums)."""
-        den, nums = _reduce(den, nums)
-        out = object.__new__(cls)
-        out._init(bound, den, tuple(nums))
-        return out
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("TruncatedSeries is immutable")
-
-    def __reduce__(self):
-        return TruncatedSeries, (self.bound, self.coeffs)
+    def _place(self) -> tuple:
+        return (self.bound,)
 
     @classmethod
     def zero(cls, bound: int) -> "TruncatedSeries":
@@ -118,64 +175,32 @@ class TruncatedSeries:
         nums[::step] = [1] * (bound // step + 1)
         return cls(bound, nums)
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients 0..bound as Fractions, built on first read."""
-        try:
-            return self._coeffs
-        except AttributeError:
-            den = self.den
-            coeffs = tuple(Fraction(a, den) for a in self.nums)
-            object.__setattr__(self, "_coeffs", coeffs)
-            return coeffs
-
     def coeff(self, k: int) -> Fraction:
         if not 0 <= k <= self.bound:
             raise ValueError(f"degree {k} outside series window [0, {self.bound}]")
         return Fraction(self.nums[k], self.den)
 
-    def _check(self, other: "TruncatedSeries") -> None:
-        if not isinstance(other, TruncatedSeries):
-            raise TypeError("expected a TruncatedSeries")
-        if other.bound != self.bound:
-            raise ValueError("series bounds differ")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        da, db = self.den, other.den
-        if da == db:
-            nums = [x + y for x, y in zip(self.nums, other.nums)]
-        else:
-            den = lcm(da, db)
-            fa, fb = den // da, den // db
-            nums = [x * fa + y * fb for x, y in zip(self.nums, other.nums)]
-            da = den
-        return TruncatedSeries._reduced(self.bound, da, nums)
-
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
+        place = self._same(other)
+        bound = self.bound
         terms = [(j, y) for j, y in enumerate(other.nums) if y]
-        acc = [0] * (self.bound + 1)
+        acc = [0] * (bound + 1)
         for i, x in enumerate(self.nums):
             if x:
                 for j, y in terms:
-                    if i + j > self.bound:
+                    if i + j > bound:
                         break
                     acc[i + j] += x * y
-        return TruncatedSeries._reduced(self.bound, self.den * other.den, acc)
-
-    def scale(self, q: Fraction | int) -> "TruncatedSeries":
-        if type(q) is not int:
-            q = _exact(q, "scale factor")
-        p, r = q.numerator, q.denominator
-        return TruncatedSeries._reduced(self.bound, self.den * r, [p * a for a in self.nums])
+        return TruncatedSeries._reduced(place, self.den * other.den, acc)
 
     def truncate(self, bound: int) -> "TruncatedSeries":
         """Shrink the window.  The bound may only decrease; growing it
         would invent zero coefficients the series never promised."""
         if bound > self.bound:
             raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries._reduced(bound, self.den, self.nums[: bound + 1])
+        if bound < 0:
+            raise ValueError("series bound must be >= 0")
+        return TruncatedSeries._reduced((bound,), self.den, self.nums[: bound + 1])
 
     def substitute_power(self, r: int) -> "TruncatedSeries":
         """Return the series P(t^r), truncated at the same bound."""
@@ -183,16 +208,7 @@ class TruncatedSeries:
             raise ValueError("substitution power must be >= 1")
         nums = [0] * (self.bound + 1)
         nums[::r] = self.nums[: self.bound // r + 1]
-        return TruncatedSeries._reduced(self.bound, self.den, nums)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.bound == other.bound and self.den == other.den
-                and self.nums == other.nums)
-
-    def __hash__(self) -> int:
-        return hash((self.bound, self.den, self.nums))
+        return TruncatedSeries._reduced((self.bound,), self.den, nums)
 
     def __str__(self) -> str:
         den = self.den

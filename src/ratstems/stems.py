@@ -46,7 +46,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .mackey import MINUS, PLUS, GradedTable, MackeyClass
 from .rolattice import VirtualRep
-from .series import _exact, _numerators, _reduce
+from .series import Numerators, _exact, _numerators
 
 # The bound of both sphere-table caches.  A box scan reads each column's table
 # once and reuses only prefixes built a few columns before; neither workload
@@ -395,7 +395,7 @@ def _sector_alive(v: VirtualRep, i: int, level: int) -> bool:
 
 
 @dataclass(frozen=True, init=False)
-class SectorElement:
+class SectorElement(Numerators):
     """A homogeneous element of the point ring's value at one level.
 
     The element is a rational combination of per-sector basis lines in a
@@ -406,25 +406,25 @@ class SectorElement:
     global; the exponents over the level's own alphabet are recovered
     on demand via restriction.
 
-    The coefficients are stored as ``nums``, the pairs (sector, numerator)
-    of the nonzero lines in sector order, over one positive denominator
-    ``den``, reduced so that ``gcd(den, *numerators) == 1`` (the zero
-    element has ``den == 1``).  That form is unique, so equality and
-    hashing compare integers, and the algebra runs on them; the
-    ``coeffs`` view reads the coefficients as Fractions.
+    The coefficients are stored densely in the reduced-numerator form of
+    ``series.Numerators``: ``nums`` holds one numerator per sector
+    0..level, 0 where the sector has no line, over one positive
+    denominator ``den``.  So equality and hashing compare integers, and
+    the algebra runs on them; the ``coeffs`` view lists the nonzero lines
+    as (sector, Fraction) pairs.
     """
 
     level: int
     degree: VirtualRep
     den: int
-    nums: tuple[tuple[int, int], ...]
+    nums: tuple[int, ...]
 
     def __init__(self, level: int, degree: VirtualRep,
                  coeffs: Iterable[tuple[int, Fraction | int]]):
         n = degree.n
         if not 0 <= level <= n:
             raise ValueError(f"level {level} outside 0..{n}")
-        merged: dict[int, Fraction | int] = {}
+        merged: list[Fraction | int] = [0] * (level + 1)
         for i, q in coeffs:
             if type(q) is not int:
                 q = _exact(q, "sector coefficients")
@@ -433,35 +433,19 @@ class SectorElement:
             if not _sector_alive(degree, i, level):
                 raise ValueError(f"sector {i} has no line in degree {degree} "
                                  f"at level {level}")
-            merged[i] = merged.get(i, 0) + q
-        sectors = sorted(i for i, q in merged.items() if q)
-        den, nums = _numerators([merged[i] for i in sectors])
-        self._init(level, degree, den, tuple(zip(sectors, nums)))
+            merged[i] += q
+        den, nums = _numerators(merged)
+        self._fill((level, degree), den, tuple(nums))
 
-    def _init(self, level: int, degree: VirtualRep, den: int,
-              nums: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
-
-    @classmethod
-    def _reduced(cls, level: int, degree: VirtualRep, den: int,
-                 lines: Mapping[int, int]) -> "SectorElement":
-        """The element with sector-i coordinate lines[i] / den (den > 0),
-        zero lines dropped, in reduced form."""
-        sectors = sorted(i for i, a in lines.items() if a)
-        den, nums = _reduce(den, [lines[i] for i in sectors])
-        out = object.__new__(cls)
-        out._init(level, degree, den, tuple(zip(sectors, nums)))
-        return out
+    def _place(self) -> tuple:
+        return (self.level, self.degree)
 
     @cached_property
     def coeffs(self) -> tuple[tuple[int, Fraction], ...]:
         """The pairs (sector, coefficient) of the nonzero lines as
         Fractions, built on first read."""
         den = self.den
-        return tuple((i, Fraction(a, den)) for i, a in self.nums)
+        return tuple((i, Fraction(a, den)) for i, a in enumerate(self.nums) if a)
 
     @property
     def n(self) -> int:
@@ -521,26 +505,6 @@ class SectorElement:
 
     # -- algebra --------------------------------------------------------------
 
-    def __add__(self, other: "SectorElement") -> "SectorElement":
-        if not isinstance(other, SectorElement):
-            return NotImplemented
-        if other.level != self.level or other.degree != self.degree:
-            raise ValueError("operands are degree-inhomogeneous or live at different levels")
-        da, db = self.den, other.den
-        den = lcm(da, db)
-        fa, fb = den // da, den // db
-        out = {i: a * fa for i, a in self.nums}
-        for i, b in other.nums:
-            out[i] = out.get(i, 0) + b * fb
-        return SectorElement._reduced(self.level, self.degree, den, out)
-
-    def scale(self, q: Fraction | int) -> "SectorElement":
-        if type(q) is not int:
-            q = _exact(q, "scale factor")
-        p = q.numerator
-        return SectorElement._reduced(self.level, self.degree, self.den * q.denominator,
-                                      {i: p * a for i, a in self.nums})
-
     def __mul__(self, other: "SectorElement") -> "SectorElement":
         """Sectorwise product: exponents add within a sector, cross-sector
         products vanish.  In the transferred basis two sector-i lines at
@@ -551,10 +515,9 @@ class SectorElement:
             raise ValueError("operands live at different levels")
         if other.n != self.n:
             raise ValueError("ambient group exponents differ")
-        theirs = dict(other.nums)
         level = self.level
-        out = {i: a * theirs[i] << (level - i) for i, a in self.nums if i in theirs}
-        return SectorElement._reduced(level, self.degree + other.degree,
+        out = [a * b << (level - i) for i, (a, b) in enumerate(zip(self.nums, other.nums))]
+        return SectorElement._reduced((level, self.degree + other.degree),
                                       self.den * other.den, out)
 
     def res(self, level: int) -> "SectorElement":
@@ -563,41 +526,39 @@ class SectorElement:
         if not 0 <= level <= self.level:
             raise ValueError(f"cannot restrict level {self.level} to {level}")
         shift = self.level - level
-        return SectorElement._reduced(level, self.degree, self.den,
-                                      {i: a << shift for i, a in self.nums if i <= level})
+        return SectorElement._reduced((level, self.degree), self.den,
+                                      [a << shift for a in self.nums[: level + 1]])
 
     def tr(self) -> "SectorElement":
         """Transfer one level up.  The transferred basis makes this
         coordinate-preserving, except that sign lines die at the top."""
         if self.level >= self.n:
             raise ValueError("cannot transfer above the ambient group")
-        target = self.level + 1
-        return SectorElement._reduced(target, self.degree, self.den,
-                                      {i: a for i, a in self.nums
-                                       if _sector_alive(self.degree, i, target)})
+        target, degree = self.level + 1, self.degree
+        return SectorElement._reduced((target, degree), self.den,
+                                      [a if a and _sector_alive(degree, i, target) else 0
+                                       for i, a in enumerate((*self.nums, 0))])
 
     def inverse(self) -> "SectorElement":
         """The sectorwise inverse: the product with it is the sum of the
         idempotents of the support (for a single-sector generator y_i*g
         this is exactly y_i).  Coordinate a/den at sector i inverts to
         den / (a * 4^(level-i)), put over the lcm of those denominators."""
-        if not self.nums:
+        if self.is_zero():
             raise ValueError("the zero element has no inverse")
         level, den = self.level, self.den
-        dens = {i: abs(a) << 2 * (level - i) for i, a in self.nums}
-        common = lcm(*dens.values())
-        out = {i: (den if a > 0 else -den) * (common // dens[i]) for i, a in self.nums}
-        return SectorElement._reduced(level, -self.degree, common, out)
+        dens = [abs(a) << 2 * (level - i) for i, a in enumerate(self.nums)]
+        common = lcm(*(d for d in dens if d))
+        out = [(den if a > 0 else -den) * (common // d) if a else 0
+               for a, d in zip(self.nums, dens)]
+        return SectorElement._reduced((level, -self.degree), common, out)
 
     def project(self, sectors: Iterable[int]) -> "SectorElement":
         """Keep only the chosen sectors (multiplication by their
         idempotents)."""
         keep = set(sectors)
-        return SectorElement._reduced(self.level, self.degree, self.den,
-                                      {i: a for i, a in self.nums if i in keep})
-
-    def is_zero(self) -> bool:
-        return not self.nums
+        return SectorElement._reduced(self._place(), self.den,
+                                      [a if i in keep else 0 for i, a in enumerate(self.nums)])
 
     def monomials(self) -> tuple[tuple[int, SectorMonomial, Fraction], ...]:
         """The explicit local view: for each sector, the unique monomial
@@ -607,7 +568,7 @@ class SectorElement:
                      for i, q in self.coeffs)
 
     def __str__(self) -> str:
-        if not self.nums:
+        if self.is_zero():
             return "0"
         parts = []
         for i, mono, q in self.monomials():

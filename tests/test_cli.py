@@ -864,17 +864,27 @@ def test_lattice_check_catches_a_shifted_column(monkeypatch, capsys):
     assert "check=fixed_point_lattices | status=FAIL" in "\n".join(lines)
 
 
-@pytest.mark.parametrize("value", [
-    TruncatedSeries(4, (1, Fraction(-2, 3), 0, 5)),
-    BurnsideElement(3, 2, (Fraction(1, 2), -3, 0)),
-    SectorElement.orient_lambda(3, 1).scale(Fraction(-2, 7)),
-], ids=lambda v: type(v).__name__)
-def test_integer_backed_values_are_immutable_and_copy(value):
+@pytest.mark.parametrize("value, elsewhere", [
+    pytest.param(TruncatedSeries(4, (1, Fraction(-2, 3), 0, 5)), TruncatedSeries.one(5),
+                 id="TruncatedSeries"),
+    pytest.param(BurnsideElement(3, 2, (Fraction(1, 2), -3, 0)), BurnsideElement.one(3, 1),
+                 id="BurnsideElement"),
+    pytest.param(SectorElement.orient_lambda(3, 1).scale(Fraction(-2, 7)),
+                 SectorElement.unit(3, 3), id="SectorElement"),
+])
+def test_integer_backed_values_are_immutable_and_copy(value, elsewhere):
     with pytest.raises(AttributeError):
         value.den = 2
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert twin == value and hash(twin) == hash(value)
         assert (twin.den, twin.nums) == (value.den, value.nums)
+    # the reduced-numerator contract the three types share
+    assert value + value == value.scale(2)
+    assert value.scale(0).den == 1 and value.scale(0).is_zero()
+    with pytest.raises(TypeError):
+        value + 1
+    with pytest.raises(ValueError):
+        value + elsewhere
 
 
 # ---------------------------------------------------------------------------

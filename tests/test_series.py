@@ -170,6 +170,8 @@ def test_truncate():
     assert g.truncate(8) == g
     with pytest.raises(ValueError):
         g.truncate(9)
+    with pytest.raises(ValueError, match="series bound must be >= 0"):
+        TruncatedSeries(3, (1, 2)).truncate(-1)
 
 
 def test_mixed_bounds_rejected():
