@@ -88,6 +88,7 @@ class BurnsideElement(Numerators):
         return cls.one(n, i) - cls.x(n, i, i - 1).scale(Fraction(1, 2))
 
     def __sub__(self, other: "BurnsideElement") -> "BurnsideElement":
+        self._same(other)
         return self + other.scale(-1)
 
     def __mul__(self, other: "BurnsideElement") -> "BurnsideElement":

@@ -12,9 +12,9 @@ Output is line-oriented text with `` | `` separated fields, or JSON
 lines under ``--format records``; ``--out PATH`` tees the output to a
 file.
 Exit codes: 0 on success (including comparisons whose documented
-verdict is FAILS), 1 when mathematics breaks (method disagreement,
-ambiguous tuple decoding, a non-sign-isotypic Weyl module, selftest
-failure), 2 on usage or syntax errors.
+verdict is FAILS), 1 when mathematics breaks (method disagreement, a
+non-sign-isotypic Weyl module, selftest failure), 2 on usage or syntax
+errors.
 
 ``run(argv)`` may be called repeatedly in one process: the parser is built
 on the first call, and each call looks its ``cmd_*`` handler up by name.
@@ -39,8 +39,8 @@ from .classifying import (_eval_at, bgs1_presentation, bsigma2_consistency,
 from .mackey import MackeyClass, NonSignIsotypicError
 from .rolattice import VirtualRep, parse_degree
 from .series import _numerators
-from .stems import (STEM_METHODS, SectorElement, TupleAmbiguityError, box_columns,
-                    lattice_mismatches, point_presentation, sphere_homology)
+from .stems import (STEM_METHODS, SectorElement, box_columns, lattice_mismatches,
+                    point_presentation, sphere_homology)
 
 
 def _agree(results: Mapping[str, Any]) -> bool:
@@ -568,7 +568,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         text = "\n".join(lines)
         if args.out:
             Path(args.out).write_text(text + "\n", encoding="utf-8")
-    except (TupleAmbiguityError, NonSignIsotypicError) as exc:
+    except NonSignIsotypicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:  # bad degree, int past the str limit, bad --out

@@ -24,6 +24,8 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Mapping, Sequence
 
+from .series import TruncatedSeries
+
 PLUS = 1
 MINUS = -1
 
@@ -35,6 +37,14 @@ class NonSignIsotypicError(ValueError):
 
 def _sign_str(sign: int) -> str:
     return "-" if sign == MINUS else "+"
+
+
+def _same_group(self, other) -> None:
+    """Refuse an operand of another type or over another group."""
+    if not isinstance(other, type(self)):
+        raise TypeError(f"expected a {type(self).__name__}")
+    if other.n != self.n:
+        raise ValueError("ambient group exponents differ")
 
 
 @dataclass(frozen=True)
@@ -101,14 +111,12 @@ class MackeyClass:
         return not self.entries
 
     def __add__(self, other: "MackeyClass") -> "MackeyClass":
-        if other.n != self.n:
-            raise ValueError("ambient group exponents differ")
+        _same_group(self, other)
         return MackeyClass(self.n, self.entries + other.entries)
 
     def box(self, other: "MackeyClass") -> "MackeyClass":
         """Box product: levelwise, signs multiply, cross terms vanish."""
-        if other.n != self.n:
-            raise ValueError("ambient group exponents differ")
+        _same_group(self, other)
         out: list[tuple[int, int, int]] = []
         for i, s1, m1 in self.entries:
             for j, s2, m2 in other.entries:
@@ -244,8 +252,7 @@ class GradedTable:
 
     def box(self, other: "GradedTable") -> "GradedTable":
         """Degreewise box product (Kunneth rule for smash products)."""
-        if other.n != self.n:
-            raise ValueError("ambient group exponents differ")
+        _same_group(self, other)
         # M_i^a box M_j^b vanishes unless i == j, so each entry pairs only
         # with the other side's entries of its own level
         by_level = other._level_index()
@@ -267,10 +274,8 @@ class GradedTable:
         """Degrees negate; classes are self-dual."""
         return GradedTable(self.n, tuple((-deg, c) for deg, c in reversed(self.entries)))
 
-    def poincare(self, h: int, bound: int):
+    def poincare(self, h: int, bound: int) -> TruncatedSeries:
         """Poincare series of the level-h values; needs degrees >= 0."""
-        from .series import TruncatedSeries
-
         if self.entries and self.entries[0][0] < 0:
             raise ValueError("table has negative degrees; no Poincare series")
         cs = [0] * (bound + 1)

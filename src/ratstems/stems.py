@@ -54,16 +54,6 @@ from .series import Numerators, _exact, _numerators
 _SPHERE_TABLES = 4096
 
 
-class TupleAmbiguityError(RuntimeError):
-    """The tuple decoder produced two decompositions that overlap.
-
-    Distinct valid tuples for one degree must occupy pairwise disjoint
-    sector runs (they then simply add up); an overlap would make the
-    decomposition ill-defined and is reported rather than silently
-    resolved.
-    """
-
-
 @dataclass(frozen=True)
 class StemTuple:
     """A decoded degree: j collects orientation-class exponents, j_prime
@@ -103,9 +93,15 @@ def _cut_masks(n: int, s: int, c: tuple[int, ...]) -> dict[int, int]:
     The cut lands at the trivial part d of its j-assignment; its run is
     the sectors cut..k, k the first nonzero total at or past the cut (n
     if none), and a cut past a zero total repeats the cut before it.
-    One suffix scan gives both in O(n), without building j or j'.  The
-    runs at one d are provably disjoint, which is asserted here, and
-    never adjacent, so each is a maximal run of its mask's bits.
+    One suffix scan gives both in O(n), without building j or j'.
+
+    The runs at one d are disjoint and never adjacent, so each is a
+    maximal run of its mask's bits.  A run is emitted at a cut > 0 only
+    when totals[cut-1] != 0, so a run emitted at a lower cut' ends at
+    k' <= cut-1 (its k is the first nonzero total at or past cut'): runs
+    are disjoint.  If k' = cut-1, the totals at cut'..cut-2 are zero, so
+    the d of the two cuts differ by totals[cut-1] alone (doubled below
+    the sigma slot), which is nonzero: adjacent runs lie at different d.
     """
     totals = [-ck for ck in c] + ([-s] if n >= 1 else [])
     found: dict[int, int] = {}
@@ -115,13 +111,7 @@ def _cut_masks(n: int, s: int, c: tuple[int, ...]) -> dict[int, int]:
             d += totals[cut] if cut == n - 1 else 2 * totals[cut]
             k = cut if totals[cut] != 0 else k
         if cut == 0 or totals[cut - 1] != 0:
-            mask = found.get(d, 0)
-            run = (2 << k) - (1 << cut)
-            if mask & run:
-                raise TupleAmbiguityError(
-                    f"degree {VirtualRep(n, d, s, c)}: tuples with overlapping sector "
-                    f"runs {list(range(cut, k + 1))} and {list(_mask_runs(mask)[0])}")
-            found[d] = mask | run
+            found[d] = found.get(d, 0) | (2 << k) - (1 << cut)
     return found
 
 

@@ -20,7 +20,7 @@ from ratstems.burnside import BurnsideElement, idempotents
 from ratstems.mackey import MackeyClass, NonSignIsotypicError
 from ratstems.rolattice import VirtualRep
 from ratstems.series import TruncatedSeries
-from ratstems.stems import SectorElement, TupleAmbiguityError
+from ratstems.stems import SectorElement
 from test_stems import at, box_degrees
 
 
@@ -76,16 +76,6 @@ def test_stems_scan_flags_corrupted_method(capsys, monkeypatch):
     # every degree with a nonzero stem in the box is named
     assert sum("agree=no" in line for line in lines) == 5
     assert any("degree=1 - 1*sigma" in line for line in lines)
-
-
-def test_stems_ambiguity_maps_to_exit_1(capsys, monkeypatch):
-    def explode(n, s, c):
-        raise TupleAmbiguityError("overlapping runs")
-    monkeypatch.setitem(cli.STEM_METHODS, "closed", explode)
-    status, lines, err = run_lines(capsys, ["stems", "--n", "1", "--degree", "0"])
-    assert status == 1
-    assert lines == []
-    assert "overlapping runs" in err
 
 
 def test_classifier_failure_maps_to_exit_1(capsys, monkeypatch):

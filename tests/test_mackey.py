@@ -5,12 +5,14 @@ level i is visible at levels h >= i, except that a sign summand
 vanishes at the very top where there is no group left to act.
 """
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ratstems import mackey
+from ratstems.burnside import BurnsideElement
 from ratstems.mackey import (MINUS, PLUS, GradedTable, MackeyClass,
                              NonSignIsotypicError, classify)
 
@@ -271,6 +273,19 @@ def test_table_validation():
             GradedTable(2, entries)
     with pytest.raises(ValueError):
         GradedTable.from_dict(2, {}).box(GradedTable.from_dict(3, {}))
+
+
+@pytest.mark.parametrize("op, value", [
+    pytest.param(operator.add, MackeyClass.burnside_class(2), id="MackeyClass.__add__"),
+    pytest.param(MackeyClass.box, MackeyClass.burnside_class(2), id="MackeyClass.box"),
+    pytest.param(GradedTable.box, GradedTable.from_dict(2, {0: MackeyClass.burnside_class(2)}),
+                 id="GradedTable.box"),
+    pytest.param(operator.sub, BurnsideElement.one(2, 1), id="BurnsideElement.__sub__"),
+])
+@pytest.mark.parametrize("other", [1, None, "M0"])
+def test_wrong_operands_raise_type_error(op, value, other):
+    with pytest.raises(TypeError, match=f"^expected a {type(value).__name__}$"):
+        op(value, other)
 
 
 def test_box_class_cache_is_bounded_and_validates():

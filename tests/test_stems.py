@@ -7,7 +7,6 @@ exhaustively and the structural properties (symmetry, multiplicativity,
 restriction recursion) are checked over random degrees.
 """
 
-import inspect
 import random
 import sys
 import time
@@ -18,11 +17,11 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from ratstems import stems
+from ratstems import cli, stems
 from ratstems.mackey import MINUS, PLUS, MackeyClass
 from ratstems.rolattice import VirtualRep, parse_degree
 from ratstems.stems import (STEM_METHODS, SectorElement, SectorMonomial,
-                            StemTuple, TupleAmbiguityError, decode_degree,
+                            StemTuple, decode_degree,
                             lattice_mismatches, point_presentation,
                             sector_alphabet, sphere_homology, stem_at)
 
@@ -165,7 +164,7 @@ def test_two_tuples_with_disjoint_runs():
 @pytest.mark.parametrize("n,bound", [(1, 3), (2, 2), (3, 2)])
 def test_decode_runs_are_disjoint_and_multiplicity_free(n, bound):
     for v in box_degrees(n, bound):
-        tuples = decode_degree(v)  # raises TupleAmbiguityError on overlap
+        tuples = decode_degree(v)
         covered = set()
         for t in tuples:
             run = set(t.run())
@@ -173,10 +172,6 @@ def test_decode_runs_are_disjoint_and_multiplicity_free(n, bound):
             assert not (run & covered)
             covered |= run
         assert all(mult == 1 for _, _, mult in stem_at(v).entries)
-
-
-def test_ambiguity_error_is_detectable():
-    assert issubclass(TupleAmbiguityError, RuntimeError)
 
 
 def ref_decode_degree(v):
@@ -199,8 +194,7 @@ def ref_decode_degree(v):
     tuples = sorted((StemTuple(n, j, jp) for j, jp in found),
                     key=lambda t: (t.k_prime(), t.k()))
     for prev, cur in zip(tuples, tuples[1:]):
-        if prev.k() > cur.k_prime():
-            raise TupleAmbiguityError(f"degree {v}: overlapping sector runs")
+        assert prev.k() <= cur.k_prime(), f"degree {v}: overlapping sector runs"
     return tuple(tuples)
 
 
@@ -213,18 +207,35 @@ def test_decode_matches_reference_over_box(n, bound):
         assert decode_degree(v) == ref_decode_degree(v), v
 
 
-def test_overlapping_runs_raise_and_name_both():
-    # the walk with the guard that skips a cut repeating the one before
-    # it removed: at d = 0 of the column (2, 0, (0,)) the cuts 2 and 1
-    # both land, with the overlapping runs [2] and [1, 2]
-    source = inspect.getsource(stems._cut_masks)
-    guard = "if cut == 0 or totals[cut - 1] != 0:"
-    assert guard in source
-    namespace = dict(vars(stems))
-    exec(source.replace(guard, "if True:"), namespace)
-    with pytest.raises(TupleAmbiguityError) as err:
-        namespace["_cut_masks"](2, 0, (0,))
-    assert "overlapping sector runs [1, 2] and [2]" in str(err.value)
+def ref_cut_runs(n, s, c, guard=True):
+    """The per-cut reference walk of the column (n, s, c), n >= 1: for
+    each d, the runs cut..k of the cuts landing there, each cut's d and k
+    rebuilt from the totals, O(n^2).  The guard skips a cut past a zero
+    total, which repeats the tuple of the cut before it."""
+    totals = [-ck for ck in c] + [-s]
+    runs = {}
+    for cut in range(n + 1):
+        if guard and cut > 0 and totals[cut - 1] == 0:
+            continue
+        d = 2 * sum(totals[cut:n - 1]) + (totals[n - 1] if cut < n else 0)
+        k = next((p for p in range(cut, n) if totals[p]), n)
+        runs.setdefault(d, []).append(range(cut, k + 1))
+    return runs
+
+
+def runs_meet(runs):
+    """Whether two of the runs overlap or are adjacent."""
+    spans = sorted(runs, key=lambda run: run.start)
+    return any(a.stop >= b.start for a, b in zip(spans, spans[1:]))
+
+
+def test_runs_overlap_only_without_the_guard():
+    # without the guard, the cuts 0, 1 and 2 of the column (2, 0, (0,))
+    # all land at d = 0, with the overlapping runs [0, 1, 2], [1, 2], [2]
+    assert ref_cut_runs(2, 0, (0,)) == {0: [range(0, 3)]}
+    unguarded = ref_cut_runs(2, 0, (0,), guard=False)
+    assert unguarded == {0: [range(0, 3), range(1, 3), range(2, 3)]}
+    assert runs_meet(unguarded[0]) and not runs_meet([range(0, 1), range(2, 3)])
     assert stems._cut_masks(2, 0, (0,)) == {0: 0b111}
 
 
@@ -472,6 +483,120 @@ def test_three_methods_agree_at_large_n():
         assert closed
         assert stems.sector_column(n, s, c) == closed
         assert stems.oracle_column(n, s, c) == closed
+
+
+def test_oracle_answers_without_the_other_methods(monkeypatch):
+    # the methods' independence, at run time: with closed and sector and
+    # their class caches rebound to raise and the sphere caches emptied,
+    # the oracle still answers every column, equal to the closed form
+    want = {(n, s, c): stems.closed_column(n, s, c)
+            for n in range(4) for s, c in stems.box_columns(n, 2)}
+
+    def refuse(*args):
+        raise AssertionError("the oracle reached closed or sector code")
+
+    for name in ("closed_column", "sector_column", "_cut_masks", "_stem_class",
+                 "_closed_class", "_sector_class"):
+        monkeypatch.setattr(stems, name, refuse)
+    stems._smash_table.cache_clear()
+    stems._power_sphere_table.cache_clear()
+    for (n, s, c), column in want.items():
+        assert stems.oracle_column(n, s, c) == column, (n, s, c)
+
+
+# ---------------------------------------------------------------------------
+# Every degree: one column per face of the braid arrangement.
+
+def weak_orderings(m):
+    """Every weak ordering of m items, as the items' block ranks 0..B-1
+    (B the number of blocks, every rank used)."""
+    if m == 0:
+        yield ()
+        return
+    for ranks in weak_orderings(m - 1):
+        blocks = max(ranks, default=-1) + 1
+        for r in range(blocks):  # the last item joins block r
+            yield ranks + (r,)
+        for r in range(blocks + 1):  # or makes a block of its own at rank r
+            yield tuple(q + (q >= r) for q in ranks) + (r,)
+
+
+def face_columns(n):
+    """One column (s, c) per face of (x_0, ..., x_{n-1}, y) in the braid
+    arrangement and parity of s, for n >= 1, where x_h = c_h + ... +
+    c_{n-2} (so x_{n-1} = 0) and y = -s/2.  The values sit at their
+    ranks, shifted to x_{n-1} = 0.  For even s every weak ordering of
+    the n + 1 values is a face; for odd s, y is a half-integer in a gap
+    between the ranks of a weak ordering of the x_h, or past either end."""
+    def column(x, two_y):
+        return 2 * x[-1] - two_y, tuple(a - b for a, b in zip(x, x[1:]))
+
+    for ranks in weak_orderings(n + 1):
+        yield column(ranks[:n], 2 * ranks[n])
+    for ranks in weak_orderings(n):
+        for gap in range(max(ranks) + 2):
+            yield column(ranks, 2 * gap - 1)
+
+
+FACE_COUNTS = {1: 5, 2: 21, 3: 119, 4: 849, 5: 7295, 6: 73281}
+
+
+def face_disagreements(n, methods):
+    """The (name, s, c) of each face column where a method's answer is
+    not that of a majority of the methods."""
+    bad = []
+    for s, c in face_columns(n):
+        answers = {name: dict(column(n, s, c)) for name, column in methods.items()}
+        values = list(answers.values())
+        bad += [(name, s, c) for name, answer in answers.items()
+                if 2 * values.count(answer) <= len(values)]
+    return bad
+
+
+@pytest.mark.parametrize("n", sorted(FACE_COUNTS))
+def test_face_runs_are_disjoint_and_apart(n):
+    """The runs of a column at one d are disjoint and never adjacent,
+    and the mask of ``_cut_masks`` is their union.  Both depend only on
+    which totals are zero and which cuts share a d, that is, on the face:
+    total h is x_{h+1} - x_h below the sigma slot and 2(y - x_{n-1}) at
+    it, and a cut lands at d = 2(y - x_cut) (0 at cut n)."""
+    columns = list(face_columns(n))
+    assert len(set(columns)) == len(columns) == FACE_COUNTS[n]
+    for s, c in columns:
+        runs = ref_cut_runs(n, s, c)
+        assert not any(runs_meet(at_d) for at_d in runs.values()), (s, c)
+        assert {d: sum(1 << i for run in at_d for i in run) for d, at_d in runs.items()} \
+            == stems._cut_masks(n, s, c), (s, c)
+
+
+@pytest.mark.parametrize("n", sorted(FACE_COUNTS))
+def test_three_way_agreement_on_every_face(n):
+    """The three methods agree in every degree of exponent n.  Each puts
+    level h < n at d = 2(y - x_h) and level n at d = 0, signed by the
+    parity of s, and which levels are present is fixed by the face of
+    (x, y) and that parity; so a column is its face's representative
+    with the degrees moved.  Per method:
+
+    * ``closed``: the cut walk reads only which totals are zero, and
+      the sectors cut..k of a run share x_cut = ... = x_k;
+    * ``sector``: its degrees are those linear forms;
+    * ``oracle``: ``GradedTable.box`` is levelwise, and each power table
+      puts level h at a linear form of (s, c), so the smash table does.
+    """
+    assert face_disagreements(n, STEM_METHODS) == []
+
+
+def test_face_certificate_flags_a_method_broken_outside_the_box():
+    # sector broken on the face x_1 < x_0 < y with even s only, which
+    # the [-3, 3] box misses (its representative is s = -4, c = (1,))
+    def broken(n, s, c):
+        if n == 2 and s % 2 == 0 and 0 < 2 * c[0] < -s:
+            return {}
+        return stems.sector_column(n, s, c)
+
+    methods = {**STEM_METHODS, "sector": broken}
+    assert face_disagreements(2, methods) == [("sector", -4, (1,))]
+    assert cli.compare_methods(2, 3, methods)[1] == []
 
 
 # ---------------------------------------------------------------------------
