@@ -27,9 +27,10 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from itertools import islice, repeat
 from math import lcm
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .burnside import BurnsideElement, _transferred_tops, from_marks, idempotents
@@ -39,8 +40,8 @@ from .classifying import (_eval_at, bgs1_presentation, bsigma2_consistency,
 from .mackey import MackeyClass, NonSignIsotypicError
 from .rolattice import VirtualRep, parse_degree
 from .series import _numerators
-from .stems import (STEM_METHODS, SectorElement, box_columns, lattice_mismatches,
-                    point_presentation, sphere_homology)
+from .stems import (STEM_METHODS, SectorElement, box_columns, face_columns,
+                    lattice_mismatches, point_presentation, sphere_homology)
 
 
 def _agree(results: Mapping[str, Any]) -> bool:
@@ -50,6 +51,28 @@ def _agree(results: Mapping[str, Any]) -> bool:
 
 Column = Callable[[int, int, tuple[int, ...]], Mapping[int, MackeyClass]]
 
+# Columns per chunk of a scan: each method answers a chunk in one map,
+# and a chunk whose methods' answer lists are equal is accepted whole.
+_CHUNK = 128
+
+
+def _disagreeing_columns(n: int, columns: Iterable[tuple[int, tuple[int, ...]]],
+                         table: Mapping[str, Column],
+                         ) -> Iterator[tuple[int, tuple[int, ...], dict[str, Mapping]]]:
+    """The columns (s, c) where the methods' mappings differ, each with
+    the methods' answers by name.  The columns go in chunks, method by
+    method, each method answering them in order, and a chunk whose
+    methods' lists of answers are equal is accepted whole."""
+    columns = iter(columns)
+    while chunk := list(islice(columns, _CHUNK)):
+        ss, cs = zip(*chunk)
+        found = [list(map(column, repeat(n), ss, cs)) for column in table.values()]
+        if found.count(found[0]) == len(found):
+            continue
+        for (s, c), *answers in zip(chunk, *found):
+            if answers.count(answers[0]) != len(answers):
+                yield s, c, dict(zip(table, answers))
+
 
 def compare_methods(n: int, bound: int, methods: Mapping[str, Column] | None = None,
                     ) -> tuple[int, list[tuple[VirtualRep, dict[str, MackeyClass]]]]:
@@ -58,23 +81,20 @@ def compare_methods(n: int, bound: int, methods: Mapping[str, Column] | None = N
 
     A method is a column function (n, s, c) -> {d: stem at its nonzero
     d}, and the walk is column-major: each method answers each (s, c)
-    once.  A column whose methods return equal mappings is accepted
-    whole; otherwise the methods are compared at each d of the window
+    once, in box order, a chunk of columns at a time.  A chunk or a
+    column whose methods return equal mappings is accepted whole; in a
+    column that differs the methods are compared at each d of the window
     where one of them is nonzero.  ``methods`` may replace the default
     table, as the negative controls do."""
     table = dict(STEM_METHODS if methods is None else methods)
     if not table:
         raise ValueError("need at least one method")
-    columns = list(table.values())
     window = range(-bound, bound + 1)
     zero = MackeyClass.zero(n)
     disagreements = []
-    for s, c in box_columns(n, bound):
-        found = [column(n, s, c) for column in columns]
-        if found.count(found[0]) == len(found):
-            continue
-        answers = dict(zip(table, found))
-        for d in sorted({d for stems_by_d in found for d in stems_by_d if d in window}):
+    for s, c, answers in _disagreeing_columns(n, box_columns(n, bound), table):
+        for d in sorted({d for stems_by_d in answers.values() for d in stems_by_d
+                         if d in window}):
             results = {name: stems_by_d.get(d, zero) for name, stems_by_d in answers.items()}
             if not _agree(results):
                 disagreements.append((VirtualRep(n, d, s, c), results))
@@ -101,9 +121,16 @@ def sector_to_burnside(elem: SectorElement) -> BurnsideElement:
 # Selftest battery.
 
 def _check_three_way(n_max: int, box: int) -> str | None:
+    """The methods on one column per face of the braid arrangement, which
+    covers every degree (``stems.face_columns``).  A disagreement is
+    described by the box scan when the box meets it, and by its face's
+    column otherwise."""
     for n in range(1, n_max + 1):
-        checked, bad = compare_methods(n, box)
-        if bad:
+        for s, c, _ in _disagreeing_columns(n, face_columns(n), STEM_METHODS):
+            checked, bad = compare_methods(n, box)
+            if not bad:
+                return (f"n={n}: the methods disagree on the face of "
+                        f"{VirtualRep(n, 0, s, c)}, which the box misses")
             v, results = bad[0]
             got = ", ".join(f"{k}={results[k]}" for k in sorted(results))
             return f"n={n}: {len(bad)}/{checked} degrees disagree, first {v}: {got}"
@@ -127,12 +154,15 @@ def _check_burnside(n_max: int) -> str | None:
                     if e * f != want:
                         return f"idempotents not orthogonal at n={n} level {i}"
             if i < n:
+                upper = [BurnsideElement.one(n, i + 1)] + [
+                    BurnsideElement.x(n, i + 1, j) for j in range(i + 1)]
+                lowered = [b.res(i) for b in upper]
                 for a in basis:
-                    if a.tr().res(i) != a.scale(2):
+                    raised = a.tr()
+                    if raised.res(i) != a.scale(2):
                         return f"res after tr is not doubling at n={n} level {i}"
-                    for b in [BurnsideElement.one(n, i + 1)] + [
-                            BurnsideElement.x(n, i + 1, j) for j in range(i + 1)]:
-                        if (a * b.res(i)).tr() != a.tr() * b:
+                    for b, b_low in zip(upper, lowered):
+                        if (a * b_low).tr() != raised * b:
                             return f"Frobenius fails at n={n} level {i}"
     return None
 
@@ -146,19 +176,18 @@ def _check_sector_bridge(n_max: int) -> str | None:
                 for _ in range(h - i):
                     e = e.tr()
                 elems.append(e)
-            for a in elems:
-                for b in elems:
-                    lhs = sector_to_burnside(a * b)
-                    rhs = sector_to_burnside(a) * sector_to_burnside(b)
-                    if lhs != rhs:
+            images = [sector_to_burnside(a) for a in elems]
+            for a, a_img in zip(elems, images):
+                for b, b_img in zip(elems, images):
+                    if sector_to_burnside(a * b) != a_img * b_img:
                         return f"degree-0 products disagree at n={n} level {h}"
             if h < n:
-                for a in elems:
-                    if sector_to_burnside(a.tr()) != sector_to_burnside(a).tr():
+                for a, a_img in zip(elems, images):
+                    if sector_to_burnside(a.tr()) != a_img.tr():
                         return f"transfer bridge fails at n={n} level {h}"
             if h > 0:
-                for a in elems:
-                    if sector_to_burnside(a.res(h - 1)) != sector_to_burnside(a).res(h - 1):
+                for a, a_img in zip(elems, images):
+                    if sector_to_burnside(a.res(h - 1)) != a_img.res(h - 1):
                         return f"restriction bridge fails at n={n} level {h}"
     return None
 

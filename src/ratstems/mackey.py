@@ -88,6 +88,15 @@ class MackeyClass:
                               if mult > 0))
         object.__setattr__(self, "entries", normal)
 
+    def __eq__(self, other: object) -> bool:
+        # the stem methods and the box hand out shared instances, so
+        # identity answers most comparisons; no key tuples are built
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries and self.n == other.n
+
     @classmethod
     def zero(cls, n: int) -> "MackeyClass":
         return cls(n)

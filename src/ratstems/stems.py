@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import chain, product, repeat
 from math import lcm
 from operator import neg
 from types import MappingProxyType
@@ -52,6 +52,10 @@ from .series import Numerators, _exact, _numerators
 # once and reuses only prefixes built a few columns before; neither workload
 # evicts (a heavy round reads 3,324 smash and 96 power tables, a light 985 and 794).
 _SPHERE_TABLES = 4096
+
+# The bound of the closed and sector column-shape caches: a heavy round
+# reads 97 shapes per method, and the n = 6 box of bound 3 reads 1,080.
+_SHAPES = 4096
 
 
 @dataclass(frozen=True)
@@ -89,11 +93,14 @@ def _cut_masks(n: int, s: int, c: tuple[int, ...]) -> dict[int, int]:
     bitmask (bit i for sector i).
 
     Positions below a cut take the j'-assignment, positions at or above
-    it the j-assignment, with per-position totals forced by s and c.
-    The cut lands at the trivial part d of its j-assignment; its run is
-    the sectors cut..k, k the first nonzero total at or past the cut (n
-    if none), and a cut past a zero total repeats the cut before it.
-    One suffix scan gives both in O(n), without building j or j'.
+    it the j-assignment, with per-position totals forced by s and c
+    (-s at the sigma slot n-1, -c_p at slot p).  The cut lands at the
+    trivial part d of its j-assignment; its run is the sectors cut..k,
+    k the first nonzero total at or past the cut (n if none), and a cut
+    past a zero total repeats the cut before it.  So the walk goes down
+    the slots once, the sigma slot first, and emits a run only at a cut
+    whose total below is nonzero (and at cut 0), without building j or
+    j'.
 
     The runs at one d are disjoint and never adjacent, so each is a
     maximal run of its mask's bits.  A run is emitted at a cut > 0 only
@@ -103,15 +110,19 @@ def _cut_masks(n: int, s: int, c: tuple[int, ...]) -> dict[int, int]:
     the d of the two cuts differ by totals[cut-1] alone (doubled below
     the sigma slot), which is nonzero: adjacent runs lie at different d.
     """
-    totals = [-ck for ck in c] + ([-s] if n >= 1 else [])
     found: dict[int, int] = {}
-    d, k = 0, n
-    for cut in range(n, -1, -1):
-        if cut < n:
-            d += totals[cut] if cut == n - 1 else 2 * totals[cut]
-            k = cut if totals[cut] != 0 else k
-        if cut == 0 or totals[cut - 1] != 0:
-            found[d] = found.get(d, 0) | (2 << k) - (1 << cut)
+    d, k = 0, n  # the cut's d and the end of its run, from cut n down
+    if s and n:
+        found[0] = 1 << n
+        d, k = -s, n - 1
+    p = n - 1
+    for ck in reversed(c):
+        p -= 1  # slot p, just below cut p + 1, has the total -ck
+        if ck:
+            found[d] = found.get(d, 0) | (2 << k) - (2 << p)
+            d -= 2 * ck
+            k = p
+    found[d] = found.get(d, 0) | (2 << k) - 1
     return found
 
 
@@ -151,38 +162,47 @@ def decode_degree(v: VirtualRep) -> tuple[StemTuple, ...]:
 _stem_class = lru_cache(maxsize=1024)(MackeyClass)
 
 
-@lru_cache(maxsize=1024)
-def _closed_class(n: int, odd: bool, mask: int) -> MackeyClass:
-    """The closed-form stem of one d: one simple per sector set in the
-    runs' mask, signed by the parity of s except at the top."""
+@lru_cache(maxsize=_SHAPES)
+def _closed_class(n: int, odd: int, masks: tuple[int, ...]) -> tuple[MackeyClass, ...]:
+    """The closed-form stems of one column shape, one per mask of the
+    runs at a d: one simple per sector set in the mask, signed by the
+    parity of s except at the top."""
     sign = MINUS if odd else PLUS
-    bits = bin(mask)[:1:-1]  # bit i at index i
-    return _stem_class(n, tuple((i, sign if i < n else PLUS, 1)
-                                for i, bit in enumerate(bits) if bit == "1"))
+    classes = []
+    for mask in masks:
+        bits = bin(mask)[:1:-1]  # bit i at index i
+        classes.append(_stem_class(n, tuple((i, sign if i < n else PLUS, 1)
+                                            for i, bit in enumerate(bits) if bit == "1")))
+    return tuple(classes)
 
 
 def closed_column(n: int, s: int, c: tuple[int, ...]) -> dict[int, MackeyClass]:
     """The stems of the d-column (n, s, c) at its nonzero d, in closed
     form: the sum of the decoded tuples' runs, one simple per sector,
     signed by the parity of the sigma-slot entry -s (a run reaches the
-    top sector only when that entry is 0).  A class is looked up by its
-    runs' mask, so its entries are built only the first time they occur."""
-    odd = s % 2 != 0
-    return {d: _closed_class(n, odd, mask) for d, mask in _cut_masks(n, s, c).items()}
+    top sector only when that entry is 0).  The classes are looked up
+    once per column by its shape, the parity of s and the masks in walk
+    order, so their entries are built only the first time it occurs."""
+    masks = _cut_masks(n, s, c)
+    return dict(zip(masks, _closed_class(n, s & 1, tuple(masks.values()))))
 
 
-@lru_cache(maxsize=1024)
-def _sector_class(n: int, odd: bool, occupied: int) -> MackeyClass:
-    """The stem of the occupied sectors (bit i for sector i): M_i signed
-    by the parity of s for i < n, and M_n^+ for the top sector."""
+@lru_cache(maxsize=_SHAPES)
+def _sector_class(n: int, odd: int, occupied: tuple[int, ...]) -> tuple[MackeyClass, ...]:
+    """The stems of one column shape, one per bitmask of the sectors
+    occupying a d (bit i for sector i): M_i signed by the parity of s
+    for i < n, and M_n^+ for the top sector."""
     sign = MINUS if odd else PLUS
-    entries = []
-    while occupied:
-        lowest = occupied & -occupied
-        i = lowest.bit_length() - 1
-        entries.append((i, sign if i < n else PLUS, 1))
-        occupied ^= lowest
-    return _stem_class(n, tuple(entries))
+    classes = []
+    for bits in occupied:
+        entries = []
+        while bits:
+            lowest = bits & -bits
+            i = lowest.bit_length() - 1
+            entries.append((i, sign if i < n else PLUS, 1))
+            bits ^= lowest
+        classes.append(_stem_class(n, tuple(entries)))
+    return tuple(classes)
 
 
 def sector_column(n: int, s: int, c: tuple[int, ...]) -> dict[int, MackeyClass]:
@@ -193,19 +213,22 @@ def sector_column(n: int, s: int, c: tuple[int, ...]) -> dict[int, MackeyClass]:
     k >= i and the a_l_k with k < i; it occupies the degree
     d = -s - 2*(c_i + ... + c_{n-2}), signed by the parity of the
     u_sigma exponent -s.  Sector n is the Laurent lattice on a_sigma
-    and all a_l_k, at d = 0.  A class is looked up by the bitmask of
-    its occupied sectors.
+    and all a_l_k, at d = 0.  The classes are looked up once per column
+    by its shape, the parity of s and the bitmasks of the sectors
+    occupying each d.
     """
     found: dict[int, int] = {}  # d -> bitmask of the sectors occupying it
-    tail = sum(c)  # c_i + ... + c_{n-2}, updated as i grows
-    for i in range(n):
-        d = -s - 2 * tail
-        found[d] = found.get(d, 0) | (1 << i)
-        if i < n - 1:
-            tail -= c[i]
-    found[0] = found.get(0, 0) | (1 << n)
-    odd = s % 2 != 0
-    return {d: _sector_class(n, odd, occupied) for d, occupied in found.items()}
+    d = -s - 2 * sum(c)  # sector 0; each c_i moves the next sector's d
+    bit = 1
+    for ci in c:
+        found[d] = found.get(d, 0) | bit
+        d += 2 * ci
+        bit <<= 1
+    if n:  # sector n - 1, at d = -s
+        found[d] = found.get(d, 0) | bit
+        bit <<= 1
+    found[0] = found.get(0, 0) | bit
+    return dict(zip(found, _sector_class(n, s & 1, tuple(found.values()))))
 
 
 @lru_cache(maxsize=_SPHERE_TABLES)
@@ -237,30 +260,45 @@ class _Prefix(tuple):
     below: GradedTable
 
 
+@lru_cache(maxsize=1)
+def _prefix_table(n: int, s: int, head: tuple[int, ...], length: int) -> GradedTable:
+    """Homology table of the sphere whose rotation coefficients are
+    ``head`` padded with zeros to ``length``: the powers are folded in a
+    loop, lowest first, each prefix handed the table below it, so no
+    chain recurses.  One slot, since consecutive columns of a box scan
+    mostly differ in their last nonzero power alone and so box onto the
+    same prefix."""
+    prefix = [0] * length
+    below = _smash_table(n, s, tuple(prefix))
+    for j, cj in enumerate(head):
+        if cj:
+            prefix[j] = cj
+            step = _Prefix(prefix)
+            step.below = below
+            below = _smash_table(n, s, step)
+            del step.below  # the cache may keep the key, not the table below
+    return below
+
+
 @lru_cache(maxsize=_SPHERE_TABLES)
 def _smash_table(n: int, s: int, c: tuple[int, ...]) -> GradedTable:
     """Homology table of the virtual sphere S^(s*sigma + sum c_k*l_k):
     the last nonzero rotation power is boxed onto the table of the rest,
     so powers of one generator come from geometry, not from repeated
     boxing.  Every prefix of c (c with its last nonzero powers zeroed)
-    is cached.  A miss folds the powers in a loop, lowest first, handing
-    each prefix the table below it, so no chain recurses."""
+    is cached.  A miss boxes onto the prefix just below its key, which
+    ``_prefix_table`` keeps from the previous miss when it is the same
+    prefix, as along a box scan's last coefficient, and otherwise folds
+    up from the bottom without recursion."""
     nonzero = [j for j, cj in enumerate(c) if cj]
     if not nonzero:
         if s != 0:
             return _power_sphere_table(n, "sigma", -1, s)
         return GradedTable.from_dict(n, {0: MackeyClass.burnside_class(n)})
-    *lower, k = nonzero
+    k = nonzero[-1]
     below = getattr(c, "below", None)
     if below is None:
-        prefix = [0] * len(c)
-        below = _smash_table(n, s, tuple(prefix))
-        for j in lower:
-            prefix[j] = c[j]
-            key = _Prefix(prefix)
-            key.below = below
-            below = _smash_table(n, s, key)
-            del key.below  # the cache may keep the key, not the table below
+        below = _prefix_table(n, s, c[:k], len(c))
     return below.box(_power_sphere_table(n, "lam", k, c[k]))
 
 
@@ -654,8 +692,46 @@ def box_columns(n: int, bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
         raise ValueError("group exponent n must be >= 0")
     if bound < 0:
         raise ValueError("scan bound must be >= 0")
-    return ((coords[0] if n else 0, coords[1:])
-            for coords in product(range(-bound, bound + 1), repeat=n))
+    if not n:
+        return iter([(0, ())])
+    window = range(-bound, bound + 1)
+    return chain.from_iterable(zip(repeat(s), product(window, repeat=n - 1)) for s in window)
+
+
+def weak_orderings(m: int) -> Iterator[tuple[int, ...]]:
+    """Every weak ordering of m items, as the items' block ranks 0..B-1
+    (B the number of blocks, every rank used)."""
+    if m == 0:
+        yield ()
+        return
+    for ranks in weak_orderings(m - 1):
+        blocks = max(ranks, default=-1) + 1
+        for r in range(blocks):  # the last item joins block r
+            yield ranks + (r,)
+        for r in range(blocks + 1):  # or makes a block of its own at rank r
+            yield tuple(q + (q >= r) for q in ranks) + (r,)
+
+
+def face_columns(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """One column (s, c) per face of (x_0, ..., x_{n-1}, y) in the braid
+    arrangement and parity of s, for n >= 1, where x_h = c_h + ... +
+    c_{n-2} (so x_{n-1} = 0) and y = -s/2.  The values sit at their
+    ranks, shifted to x_{n-1} = 0.  For even s every weak ordering of
+    the n + 1 values is a face; for odd s, y is a half-integer in a gap
+    between the ranks of a weak ordering of the x_h, or past either end.
+
+    Each stem method puts level h < n at d = 2(y - x_h) and level n at
+    d = 0, signed by the parity of s, so a column's stems are those of
+    its face's column with the degrees moved: agreement on these
+    columns is agreement in every degree of exponent n."""
+    def column(x, two_y):
+        return 2 * x[-1] - two_y, tuple(a - b for a, b in zip(x, x[1:]))
+
+    for ranks in weak_orderings(n + 1):
+        yield column(ranks[:n], 2 * ranks[n])
+    for ranks in weak_orderings(n):
+        for gap in range(max(ranks) + 2):
+            yield column(ranks, 2 * gap - 1)
 
 
 def lattice_mismatches(n: int, bound: int) -> list[str]:

@@ -558,12 +558,18 @@ def method_table(kind):
             d - 2: cls for d, cls in stems.closed_column(n, s, c).items()}
     elif kind == "wrapped":
         base = {name: transparent(fn) for name, fn in base.items()}
+    elif kind == "late-sector":  # wrong only where s > 0, late in box order
+        base["sector"] = lambda n, s, c: {} if s > 0 else stems.sector_column(n, s, c)
     return base
 
 
-@pytest.mark.parametrize("kind", ["clean", "zeroed-sector", "shifted-closed", "wrapped"])
+@pytest.mark.parametrize("kind", ["clean", "zeroed-sector", "shifted-closed", "wrapped",
+                                  "late-sector"])
 @pytest.mark.parametrize("n,bound", [(0, 0), (0, 2), (1, 2), (2, 2), (3, 1), (3, 2)])
-def test_column_scan_matches_dense_walk(kind, n, bound):
+def test_column_scan_matches_dense_walk(kind, n, bound, monkeypatch):
+    if kind == "late-sector":
+        # chunks of two columns: the columns of s <= 0 fill the first one
+        monkeypatch.setattr(cli, "_CHUNK", 2)
     methods = method_table(kind)
     checked, bad = cli.compare_methods(n, bound, methods)
     want_checked, want_bad = dense_compare(n, bound, methods)
@@ -571,7 +577,11 @@ def test_column_scan_matches_dense_walk(kind, n, bound):
     # same degrees, same classes, same order of degrees and of methods
     assert [(v, list(results.items())) for v, results in bad] == \
         [(v, list(results.items())) for v, results in want_bad]
-    assert bool(bad) == (kind in ("zeroed-sector", "shifted-closed"))
+    late = kind == "late-sector" and n > 0 and bound > 0
+    assert bool(bad) == (kind in ("zeroed-sector", "shifted-closed") or late)
+    if late:
+        first_chunk = list(stems.box_columns(n, bound))[:2]
+        assert all((v.s, v.c) not in first_chunk for v, _ in bad)
 
 
 def test_injected_column_runs_once_per_column():
@@ -843,6 +853,57 @@ def test_collapse_check_catches_a_wrong_denominator(monkeypatch):
 
     monkeypatch.setattr(cli, "collapse", doubled_den)
     assert cli._check_collapse(3) == "collapse expansion breaks at s=1, eigenvalue 1"
+
+
+def test_three_way_check_reads_one_column_per_face(monkeypatch):
+    # plain selftest: 5 + 21 face columns for n <= 2, each answered once
+    # by each method
+    seen = {name: [] for name in stems.STEM_METHODS}
+    for name, column in list(stems.STEM_METHODS.items()):
+        def logged(n, s, c, name=name, column=column):
+            seen[name].append((n, s, c))
+            return column(n, s, c)
+        monkeypatch.setitem(stems.STEM_METHODS, name, logged)
+    assert cli._check_three_way(2, 2) is None
+    faces = [(n, s, c) for n in (1, 2) for s, c in stems.face_columns(n)]
+    assert len(faces) == 26
+    assert all(calls == faces for calls in seen.values())
+
+
+def test_three_way_check_catches_a_method_broken_outside_the_box(monkeypatch, capsys):
+    # sector broken on the face x_1 < x_0 < y with even s only, which
+    # the [-2, 2] box misses (its column is s = -4, c = (1,))
+    sector = stems.sector_column
+
+    def broken(n, s, c):
+        if n == 2 and s % 2 == 0 and 0 < 2 * c[0] < -s:
+            return {}
+        return sector(n, s, c)
+
+    monkeypatch.setitem(stems.STEM_METHODS, "sector", broken)
+    assert cli.compare_methods(2, 2)[1] == []
+    assert cli._check_three_way(2, 2) == \
+        "n=2: the methods disagree on the face of -4*sigma + 1*l0, which the box misses"
+    status, lines, _ = run_lines(capsys, ["selftest"])
+    assert status == 1
+    assert "check=three_way_agreement | status=FAIL" in "\n".join(lines)
+
+
+def test_bridge_check_maps_each_element_once_per_level(monkeypatch):
+    # (h+2)^2 products and h+2 elements per level h, plus h+2 transfers
+    # below the top and h+2 restrictions above the bottom
+    calls = []
+    bridge = cli.sector_to_burnside
+
+    def counted(elem):
+        calls.append(elem)
+        return bridge(elem)
+
+    monkeypatch.setattr(cli, "sector_to_burnside", counted)
+    assert cli._check_sector_bridge(3) is None
+    want = sum((h + 2) ** 2 + (h + 2) * (1 + (h < n) + (h > 0))
+               for n in range(1, 4) for h in range(n + 1))
+    assert len(calls) == want
 
 
 def test_lattice_check_catches_a_shifted_column(monkeypatch, capsys):

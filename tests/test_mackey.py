@@ -73,6 +73,20 @@ def test_normalization_merges_and_drops():
         assert hash(cls) == hash(MackeyClass(2, normal))
 
 
+def test_equality_is_by_value_and_safe_with_other_types():
+    # equal classes built from unsorted entries compare and hash equal;
+    # a value of another type is unequal, and comparing raises nothing
+    a = MackeyClass(2, ((1, MINUS, 1), (0, PLUS, 2), (2, PLUS, 1)))
+    b = MackeyClass(2, ((2, PLUS, 1), (0, PLUS, 1), (1, MINUS, 1), (0, PLUS, 1)))
+    assert a is not b and a == b and not a != b and a == a
+    assert hash(a) == hash(b) == hash((2, a.entries)) and len({a, b}) == 1
+    assert a != MackeyClass(2, ((0, PLUS, 2), (1, PLUS, 1), (2, PLUS, 1)))
+    assert MackeyClass.zero(1) != MackeyClass.zero(2)
+    for other in (None, 3, "M0", a.entries, (2, a.entries), GradedTable(2)):
+        assert (a == other) is False and (other == a) is False
+        assert (a != other) is True and (other != a) is True
+
+
 def test_validation():
     with pytest.raises(ValueError):
         MackeyClass(2, ((3, PLUS, 1),))

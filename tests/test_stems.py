@@ -21,7 +21,7 @@ from ratstems import cli, stems
 from ratstems.mackey import MINUS, PLUS, MackeyClass
 from ratstems.rolattice import VirtualRep, parse_degree
 from ratstems.stems import (STEM_METHODS, SectorElement, SectorMonomial,
-                            StemTuple, decode_degree,
+                            StemTuple, decode_degree, face_columns,
                             lattice_mismatches, point_presentation,
                             sector_alphabet, sphere_homology, stem_at)
 
@@ -507,38 +507,15 @@ def test_oracle_answers_without_the_other_methods(monkeypatch):
 # ---------------------------------------------------------------------------
 # Every degree: one column per face of the braid arrangement.
 
-def weak_orderings(m):
-    """Every weak ordering of m items, as the items' block ranks 0..B-1
-    (B the number of blocks, every rank used)."""
-    if m == 0:
-        yield ()
-        return
-    for ranks in weak_orderings(m - 1):
-        blocks = max(ranks, default=-1) + 1
-        for r in range(blocks):  # the last item joins block r
-            yield ranks + (r,)
-        for r in range(blocks + 1):  # or makes a block of its own at rank r
-            yield tuple(q + (q >= r) for q in ranks) + (r,)
-
-
-def face_columns(n):
-    """One column (s, c) per face of (x_0, ..., x_{n-1}, y) in the braid
-    arrangement and parity of s, for n >= 1, where x_h = c_h + ... +
-    c_{n-2} (so x_{n-1} = 0) and y = -s/2.  The values sit at their
-    ranks, shifted to x_{n-1} = 0.  For even s every weak ordering of
-    the n + 1 values is a face; for odd s, y is a half-integer in a gap
-    between the ranks of a weak ordering of the x_h, or past either end."""
-    def column(x, two_y):
-        return 2 * x[-1] - two_y, tuple(a - b for a, b in zip(x, x[1:]))
-
-    for ranks in weak_orderings(n + 1):
-        yield column(ranks[:n], 2 * ranks[n])
-    for ranks in weak_orderings(n):
-        for gap in range(max(ranks) + 2):
-            yield column(ranks, 2 * gap - 1)
-
-
 FACE_COUNTS = {1: 5, 2: 21, 3: 119, 4: 849, 5: 7295, 6: 73281}
+
+
+def test_weak_orderings_are_counted_by_the_fubini_numbers():
+    for m, count in enumerate([1, 1, 3, 13, 75, 541]):
+        orderings = list(stems.weak_orderings(m))
+        assert len(set(orderings)) == len(orderings) == count
+        assert all(set(ranks) == set(range(max(ranks, default=-1) + 1))
+                   for ranks in orderings)
 
 
 def face_disagreements(n, methods):
