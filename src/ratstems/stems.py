@@ -49,8 +49,8 @@ from .rolattice import VirtualRep
 from .series import Numerators, _exact, _numerators
 
 # The bound of both sphere-table caches.  A box scan reads each column's table
-# once and reuses only prefixes built a few columns before; neither workload
-# evicts (a heavy round reads 3,324 smash and 96 power tables, a light 985 and 794).
+# once, and a miss boxes the tables of its key's two halves; neither workload
+# evicts (a heavy round reads 3,324 smash and 96 power tables, a light 631 and 800).
 _SPHERE_TABLES = 4096
 
 # The bound of the closed and sector column-shape caches: a heavy round
@@ -92,14 +92,14 @@ def _cut_masks(n: int, s: int, c: tuple[int, ...]) -> dict[int, int]:
     the runs of the tuples that decompose the degree (d, s, c), as a
     bitmask (bit i for sector i).
 
-    Positions below a cut take the j'-assignment, positions at or above
+    Positions under a cut take the j'-assignment, positions at or above
     it the j-assignment, with per-position totals forced by s and c
     (-s at the sigma slot n-1, -c_p at slot p).  The cut lands at the
     trivial part d of its j-assignment; its run is the sectors cut..k,
     k the first nonzero total at or past the cut (n if none), and a cut
     past a zero total repeats the cut before it.  So the walk goes down
     the slots once, the sigma slot first, and emits a run only at a cut
-    whose total below is nonzero (and at cut 0), without building j or
+    whose total under it is nonzero (and at cut 0), without building j or
     j'.
 
     The runs at one d are disjoint and never adjacent, so each is a
@@ -107,7 +107,7 @@ def _cut_masks(n: int, s: int, c: tuple[int, ...]) -> dict[int, int]:
     when totals[cut-1] != 0, so a run emitted at a lower cut' ends at
     k' <= cut-1 (its k is the first nonzero total at or past cut'): runs
     are disjoint.  If k' = cut-1, the totals at cut'..cut-2 are zero, so
-    the d of the two cuts differ by totals[cut-1] alone (doubled below
+    the d of the two cuts differ by totals[cut-1] alone (doubled under
     the sigma slot), which is nonzero: adjacent runs lie at different d.
     """
     found: dict[int, int] = {}
@@ -117,7 +117,7 @@ def _cut_masks(n: int, s: int, c: tuple[int, ...]) -> dict[int, int]:
         d, k = -s, n - 1
     p = n - 1
     for ck in reversed(c):
-        p -= 1  # slot p, just below cut p + 1, has the total -ck
+        p -= 1  # slot p, just under cut p + 1, has the total -ck
         if ck:
             found[d] = found.get(d, 0) | (2 << k) - (2 << p)
             d -= 2 * ck
@@ -251,55 +251,29 @@ def _power_sphere_table(n: int, kind: str, k: int, e: int) -> GradedTable:
     return GradedTable(n, tuple((d, MackeyClass(n, tuple(es))) for d, es in levels.items()))
 
 
-class _Prefix(tuple):
-    """Rotation coefficients that carry the sphere table of the prefix
-    below them (the same coefficients with the last nonzero one zeroed).
-    It hashes and compares as the plain tuple, so it keys the same
-    ``_smash_table`` entry."""
-
-    below: GradedTable
-
-
-@lru_cache(maxsize=1)
-def _prefix_table(n: int, s: int, head: tuple[int, ...], length: int) -> GradedTable:
-    """Homology table of the sphere whose rotation coefficients are
-    ``head`` padded with zeros to ``length``: the powers are folded in a
-    loop, lowest first, each prefix handed the table below it, so no
-    chain recurses.  One slot, since consecutive columns of a box scan
-    mostly differ in their last nonzero power alone and so box onto the
-    same prefix."""
-    prefix = [0] * length
-    below = _smash_table(n, s, tuple(prefix))
-    for j, cj in enumerate(head):
-        if cj:
-            prefix[j] = cj
-            step = _Prefix(prefix)
-            step.below = below
-            below = _smash_table(n, s, step)
-            del step.below  # the cache may keep the key, not the table below
-    return below
-
-
 @lru_cache(maxsize=_SPHERE_TABLES)
 def _smash_table(n: int, s: int, c: tuple[int, ...]) -> GradedTable:
     """Homology table of the virtual sphere S^(s*sigma + sum c_k*l_k):
-    the last nonzero rotation power is boxed onto the table of the rest,
-    so powers of one generator come from geometry, not from repeated
-    boxing.  Every prefix of c (c with its last nonzero powers zeroed)
-    is cached.  A miss boxes onto the prefix just below its key, which
-    ``_prefix_table`` keeps from the previous miss when it is the same
-    prefix, as along a box scan's last coefficient, and otherwise folds
-    up from the bottom without recursion."""
-    nonzero = [j for j, cj in enumerate(c) if cj]
-    if not nonzero:
-        if s != 0:
-            return _power_sphere_table(n, "sigma", -1, s)
+    the Kunneth box of the geometric tables of its factors, the sigma
+    power (when s != 0) and then the nonzero rotation powers in slot
+    order, so powers of one generator come from geometry, not from
+    repeated boxing.  The first ceil(f/2) of its f factors (keeping s)
+    are boxed with the last floor(f/2) (s = 0); a one-factor part is its
+    power table and a longer part is this table again, cached, so f
+    factors recurse only ceil(log2 f) deep."""
+    powers = [("sigma", -1, s)] if s else []
+    powers += [("lam", k, ck) for k, ck in enumerate(c) if ck]
+    if len(powers) < 2:
+        if powers:
+            return _power_sphere_table(n, *powers[0])
         return GradedTable.from_dict(n, {0: MackeyClass.burnside_class(n)})
-    k = nonzero[-1]
-    below = getattr(c, "below", None)
-    if below is None:
-        below = _prefix_table(n, s, c[:k], len(c))
-    return below.box(_power_sphere_table(n, "lam", k, c[k]))
+    half = (len(powers) + 1) // 2
+    cut = powers[half][1]  # the slot of the tail's first power
+    head = (_power_sphere_table(n, *powers[0]) if half == 1
+            else _smash_table(n, s, c[:cut] + (0,) * (len(c) - cut)))
+    tail = (_power_sphere_table(n, *powers[-1]) if len(powers) - half == 1
+            else _smash_table(n, 0, (0,) * cut + c[cut:]))
+    return head.box(tail)
 
 
 def sphere_homology(v: VirtualRep) -> GradedTable:
@@ -353,7 +327,7 @@ def _key_name(key: tuple) -> str:
 
 def sector_alphabet(m: int, sector: int) -> tuple[tuple, ...]:
     """Generator alphabet of the given sector at a level with group
-    exponent m: sectors below the top mix orientation classes (u) with
+    exponent m: sectors under the top mix orientation classes (u) with
     Euler classes (a), the top sector is purely Euler."""
     if not 0 <= sector <= m:
         raise ValueError(f"sector {sector} outside 0..{m}")
@@ -526,7 +500,7 @@ class SectorElement(Numerators):
     @classmethod
     def orient_sigma(cls, n: int) -> "SectorElement":
         """u_sigma, the orientation class of sigma, living one level
-        below the top in degree 1 - sigma."""
+        under the top in degree 1 - sigma."""
         v = VirtualRep.one(n, 1) - VirtualRep.sigma(n)
         return cls.from_dict(n - 1, v,
                              {i: Fraction(1, 2 ** (n - 1 - i)) for i in range(n)})

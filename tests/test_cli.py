@@ -220,9 +220,9 @@ def test_large_n_is_answered(capsys, argv, last):
 
 
 def test_sphere_of_a_long_rotation_chain_is_quick(capsys):
-    # l0 + ... + l398 at n = 400 folds 399 tables of 401 levels; each
-    # Kunneth box pairs entries only within a level, so this takes about
-    # a second, and a box over all entry pairs takes over 15 s
+    # l0 + ... + l398 at n = 400 boxes 399 power tables of 401 levels in
+    # 398 Kunneth boxes; each pairs entries only within a level, so this
+    # takes about half a second, and a box over all entry pairs over 15 s
     rep = " + ".join(f"l{k}" for k in range(399))
     start = time.perf_counter()
     status, lines, _ = run_lines(capsys, ["sphere", "--n", "400", "--rep", rep])

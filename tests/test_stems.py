@@ -120,12 +120,6 @@ def test_integer_degrees_vanish(n):
         assert stems_everywhere(VirtualRep.one(n, d)) == want
 
 
-@pytest.mark.parametrize("n,bound", [(1, 3), (2, 2), (3, 2)])
-def test_three_way_agreement_over_box(n, bound):
-    for v in box_degrees(n, bound):
-        stems_everywhere(v)
-
-
 # ---------------------------------------------------------------------------
 # Tuple decoding.
 
@@ -441,27 +435,35 @@ def stack_depth():
 
 
 def test_long_rotation_chain_needs_no_recursion():
-    # 120 nonzero rotation powers, with about 60 frames of headroom: the
-    # table folds them in a loop and caches every prefix on the way.
-    # Emptied first, since a full bounded cache does not grow
-    stems._smash_table.cache_clear()
-    n = 121
-    c = tuple(k % 3 - 1 or 2 for k in range(n - 1))
-    v = VirtualRep(n, 0, 1, c)
-    want = stems._power_sphere_table(n, "sigma", -1, 1)
-    for k, ck in enumerate(c):
-        want = want.box(stems._power_sphere_table(n, "lam", k, ck))
-    before = stems._smash_table.cache_info()
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(stack_depth() + 60)
-    try:
-        table = sphere_homology(v)
-    finally:
-        sys.setrecursionlimit(limit)
-    after = stems._smash_table.cache_info()
-    assert table == want
-    assert after.misses - before.misses == after.currsize - before.currsize == n
-    assert at(stems.oracle_column, -v) == stem_at(-v)
+    # 121 factors (the sigma power and 120 rotation powers), with about 60
+    # frames of headroom: the table boxes the tables of the two halves of
+    # its factors, so it recurses about log2 of their number deep (about
+    # 25 frames here, where a linear recursion needs hundreds), and caches
+    # one table per Kunneth box.  The same chain at s = 0 and degrees of
+    # 2..5 factors too, each from cold caches against the left-to-right
+    # fold of the power tables
+    chain = tuple(k % 3 - 1 or 2 for k in range(120))
+    cases = [(121, 1, chain), (121, 0, chain), (3, -2, (0, 1)), (3, 0, (1, -1)),
+             (4, 0, (2, -1, 3)), (4, 3, (-1, 1, 2)), (6, -1, (0, 2, -1, 1, -3))]
+    for n, s, c in cases:
+        stems._smash_table.cache_clear()
+        stems._power_sphere_table.cache_clear()
+        v = VirtualRep(n, 0, s, c)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 60)
+        try:
+            table = sphere_homology(v)
+        finally:
+            sys.setrecursionlimit(limit)
+        info = stems._smash_table.cache_info()
+        powers = [stems._power_sphere_table(n, "sigma", -1, s)] if s else []
+        powers += [stems._power_sphere_table(n, "lam", k, ck) for k, ck in enumerate(c) if ck]
+        want = powers[0]
+        for power in powers[1:]:
+            want = want.box(power)
+        assert table == want
+        assert info.misses == info.currsize == len(powers) - 1
+        assert at(stems.oracle_column, -v) == stem_at(-v)
 
 
 def test_three_methods_agree_at_large_n():
