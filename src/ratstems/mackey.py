@@ -279,10 +279,6 @@ class GradedTable:
     def shift(self, d: int) -> "GradedTable":
         return GradedTable(self.n, tuple((deg + d, c) for deg, c in self.entries))
 
-    def dual(self) -> "GradedTable":
-        """Degrees negate; classes are self-dual."""
-        return GradedTable(self.n, tuple((-deg, c) for deg, c in reversed(self.entries)))
-
     def poincare(self, h: int, bound: int) -> TruncatedSeries:
         """Poincare series of the level-h values; needs degrees >= 0."""
         if self.entries and self.entries[0][0] < 0:

@@ -48,9 +48,9 @@ from .mackey import MINUS, PLUS, GradedTable, MackeyClass
 from .rolattice import VirtualRep
 from .series import Numerators, _exact, _numerators
 
-# The bound of both sphere-table caches.  A box scan reads each column's table
+# The bound of the sphere-table cache.  A box scan reads each column's table
 # once, and a miss boxes the tables of its key's two halves; neither workload
-# evicts (a heavy round reads 3,324 smash and 96 power tables, a light 631 and 800).
+# evicts (a heavy round reads 3,324 tables, a light 1,185).
 _SPHERE_TABLES = 4096
 
 # The bound of the closed and sector column-shape caches: a heavy round
@@ -232,48 +232,32 @@ def sector_column(n: int, s: int, c: tuple[int, ...]) -> dict[int, MackeyClass]:
 
 
 @lru_cache(maxsize=_SPHERE_TABLES)
-def _power_sphere_table(n: int, kind: str, k: int, e: int) -> GradedTable:
-    """Homology table of S^(e*w) for one irreducible w (sigma or l_k),
-    read off fixed-point geometry: level h gives one M_h in the degree
-    of its fixed sphere, signed by the Weyl action there, and the levels
-    that share a degree make one class.  A negative power is the
-    dual of the positive one."""
-    if e < 0:
-        return _power_sphere_table(n, kind, k, -e).dual()
-    w = e * (VirtualRep.sigma(n) if kind == "sigma" else VirtualRep.lam(n, k))
+def _smash_table(n: int, s: int, c: tuple[int, ...]) -> GradedTable:
+    """Homology table of the virtual sphere S^(s*sigma + sum c_k*l_k).
+
+    Its f factors are the sigma power (when s != 0), then the nonzero
+    rotation powers in slot order.  With f < 2, one power of one
+    irreducible (of either sign) or none, it is read off fixed-point
+    geometry: level h gives one M_h in the degree of its fixed sphere,
+    signed by the Weyl action there, and levels sharing a degree make
+    one class.  Otherwise it boxes this table, cached, of the first
+    ceil(f/2) factors (keeping s) with that of the last floor(f/2)
+    (s = 0), so f factors recurse only ceil(log2 f) deep."""
+    slots = [k for k, ck in enumerate(c) if ck]
+    f = len(slots) + (s != 0)
+    if f >= 2:
+        cut = slots[len(slots) - f // 2]  # the slot of the tail's first factor
+        return (_smash_table(n, s, c[:cut] + (0,) * (len(c) - cut))
+                .box(_smash_table(n, 0, (0,) * cut + c[cut:])))
+    w = VirtualRep(n, 0, s, c)
     levels: dict[int, list[tuple[int, int, int]]] = {}
-    tail = 2 * sum(w.c)  # 2*(c_h + ... + c_{n-2}): w.fixed_dim(h) without its O(n) sum
+    tail = 2 * sum(c)  # 2*(c_h + ... + c_{n-2}): w.fixed_dim(h) without its O(n) sum
     for h in range(n + 1):
-        degree = w.d + (w.s if h < n else 0) + tail
+        degree = (s if h < n else 0) + tail
         levels.setdefault(degree, []).append((h, w.fixed_sign(h), 1))
         if h < n - 1:
-            tail -= 2 * w.c[h]
+            tail -= 2 * c[h]
     return GradedTable(n, tuple((d, MackeyClass(n, tuple(es))) for d, es in levels.items()))
-
-
-@lru_cache(maxsize=_SPHERE_TABLES)
-def _smash_table(n: int, s: int, c: tuple[int, ...]) -> GradedTable:
-    """Homology table of the virtual sphere S^(s*sigma + sum c_k*l_k):
-    the Kunneth box of the geometric tables of its factors, the sigma
-    power (when s != 0) and then the nonzero rotation powers in slot
-    order, so powers of one generator come from geometry, not from
-    repeated boxing.  The first ceil(f/2) of its f factors (keeping s)
-    are boxed with the last floor(f/2) (s = 0); a one-factor part is its
-    power table and a longer part is this table again, cached, so f
-    factors recurse only ceil(log2 f) deep."""
-    powers = [("sigma", -1, s)] if s else []
-    powers += [("lam", k, ck) for k, ck in enumerate(c) if ck]
-    if len(powers) < 2:
-        if powers:
-            return _power_sphere_table(n, *powers[0])
-        return GradedTable.from_dict(n, {0: MackeyClass.burnside_class(n)})
-    half = (len(powers) + 1) // 2
-    cut = powers[half][1]  # the slot of the tail's first power
-    head = (_power_sphere_table(n, *powers[0]) if half == 1
-            else _smash_table(n, s, c[:cut] + (0,) * (len(c) - cut)))
-    tail = (_power_sphere_table(n, *powers[-1]) if len(powers) - half == 1
-            else _smash_table(n, 0, (0,) * cut + c[cut:]))
-    return head.box(tail)
 
 
 def sphere_homology(v: VirtualRep) -> GradedTable:

@@ -724,8 +724,7 @@ def test_shared_stem_cache_is_bounded_and_validates():
         (before.hits, before.misses + 2, before.currsize)
 
 
-@pytest.mark.parametrize("helper", ["_closed_class", "_sector_class",
-                                    "_power_sphere_table"])
+@pytest.mark.parametrize("helper", ["_closed_class", "_sector_class"])
 def test_keyed_class_caches_are_bounded(helper):
     maxsize = getattr(stems, helper).cache_parameters()["maxsize"]
     assert isinstance(maxsize, int) and maxsize > 0

@@ -258,8 +258,6 @@ def test_table_operations():
     assert t.get(3) == MackeyClass.simple(n, 1)
     assert t.get(-3) == MackeyClass.zero(n) == GradedTable(n).get(0)
     assert t.shift(2).degrees() == (2, 5)
-    assert t.dual().degrees() == (-3, 0)
-    assert t.dual().get(-3) == MackeyClass.simple(n, 1)
     unit = GradedTable.from_dict(n, {0: burn})
     assert t.box(unit) == t
     # duplicate degrees merge on construction

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ratstems import cli, stems
-from ratstems.mackey import MINUS, PLUS, MackeyClass
+from ratstems.mackey import MINUS, PLUS, GradedTable, MackeyClass
 from ratstems.rolattice import VirtualRep, parse_degree
 from ratstems.stems import (STEM_METHODS, SectorElement, SectorMonomial,
                             StemTuple, decode_degree, face_columns,
@@ -412,19 +412,24 @@ def test_mixed_degree_kunneth():
         cases = [(sig, sig), (sig, -sig), (l0, sig), (l0, -2 * sig + one),
                  (sig, 2 * sig), (2 * sig, -3 * sig), (l0, 2 * l0), (-l0, 3 * l0)]
         for v, w in cases:
-            assert sphere_homology(v + w) == sphere_homology(v).box(sphere_homology(w))
+            u = v + w
+            assert sphere_homology(u) == sphere_homology(v).box(sphere_homology(w))
+            # the sphere on -u is the dual: degrees negate, classes are self-dual
+            assert sphere_homology(-u).entries == tuple(
+                (-d, cls) for d, cls in reversed(sphere_homology(u).entries))
 
 
 def test_oracle_answers_large_powers():
-    # one geometric table per generator power: a cold degree adds at most
-    # n sphere tables, however large its coefficients.  Emptied first,
-    # since a full bounded cache does not grow
+    # one geometric table per generator power and one per Kunneth box: a
+    # cold degree of n factors adds at most 2n - 1 sphere tables, however
+    # large its coefficients.  Emptied first, since a full bounded cache
+    # does not grow
     stems._smash_table.cache_clear()
     for n in (1, 2, 3, 4):
         v = VirtualRep(n, 3, 7919, tuple(range(-4001, -4001 + 2 * (n - 1), 2)))
         before = stems._smash_table.cache_info().currsize
         assert at(stems.oracle_column, v) == stem_at(v)
-        assert stems._smash_table.cache_info().currsize - before <= n
+        assert stems._smash_table.cache_info().currsize - before <= 2 * n - 1
 
 
 def stack_depth():
@@ -434,20 +439,30 @@ def stack_depth():
     return depth
 
 
+def power_table(w, sign):
+    """The geometric table of S^(sign*w) for a positive power w of one
+    irreducible: one M_h per level h at sign times w's fixed dimension."""
+    levels = {}
+    for h in range(w.n + 1):
+        levels.setdefault(sign * w.fixed_dim(h), []).append((h, w.fixed_sign(h), 1))
+    return GradedTable(w.n, tuple((d, MackeyClass(w.n, tuple(es))) for d, es in levels.items()))
+
+
 def test_long_rotation_chain_needs_no_recursion():
     # 121 factors (the sigma power and 120 rotation powers), with about 60
     # frames of headroom: the table boxes the tables of the two halves of
     # its factors, so it recurses about log2 of their number deep (about
     # 25 frames here, where a linear recursion needs hundreds), and caches
-    # one table per Kunneth box.  The same chain at s = 0 and degrees of
-    # 2..5 factors too, each from cold caches against the left-to-right
-    # fold of the power tables
+    # one table per factor and one per Kunneth box.  The same chain at
+    # s = 0 and degrees of 2..5 factors too, two of them of negative powers
+    # only, each from a cold cache against the left-to-right fold of the
+    # power tables
     chain = tuple(k % 3 - 1 or 2 for k in range(120))
     cases = [(121, 1, chain), (121, 0, chain), (3, -2, (0, 1)), (3, 0, (1, -1)),
-             (4, 0, (2, -1, 3)), (4, 3, (-1, 1, 2)), (6, -1, (0, 2, -1, 1, -3))]
+             (4, 0, (2, -1, 3)), (4, 3, (-1, 1, 2)), (6, -1, (0, 2, -1, 1, -3)),
+             (3, -5, (0, -2)), (5, 0, (-3, 0, -1, -4))]
     for n, s, c in cases:
         stems._smash_table.cache_clear()
-        stems._power_sphere_table.cache_clear()
         v = VirtualRep(n, 0, s, c)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(stack_depth() + 60)
@@ -456,13 +471,14 @@ def test_long_rotation_chain_needs_no_recursion():
         finally:
             sys.setrecursionlimit(limit)
         info = stems._smash_table.cache_info()
-        powers = [stems._power_sphere_table(n, "sigma", -1, s)] if s else []
-        powers += [stems._power_sphere_table(n, "lam", k, ck) for k, ck in enumerate(c) if ck]
+        gens = [(VirtualRep.sigma(n), s)] if s else []
+        gens += [(VirtualRep.lam(n, k), ck) for k, ck in enumerate(c) if ck]
+        powers = [power_table(abs(e) * w, 1 if e > 0 else -1) for w, e in gens]
         want = powers[0]
         for power in powers[1:]:
             want = want.box(power)
         assert table == want
-        assert info.misses == info.currsize == len(powers) - 1
+        assert info.misses == info.currsize == 2 * len(powers) - 1
         assert at(stems.oracle_column, -v) == stem_at(-v)
 
 
@@ -489,7 +505,7 @@ def test_three_methods_agree_at_large_n():
 
 def test_oracle_answers_without_the_other_methods(monkeypatch):
     # the methods' independence, at run time: with closed and sector and
-    # their class caches rebound to raise and the sphere caches emptied,
+    # their class caches rebound to raise and the sphere cache emptied,
     # the oracle still answers every column, equal to the closed form
     want = {(n, s, c): stems.closed_column(n, s, c)
             for n in range(4) for s, c in stems.box_columns(n, 2)}
@@ -501,7 +517,6 @@ def test_oracle_answers_without_the_other_methods(monkeypatch):
                  "_closed_class", "_sector_class"):
         monkeypatch.setattr(stems, name, refuse)
     stems._smash_table.cache_clear()
-    stems._power_sphere_table.cache_clear()
     for (n, s, c), column in want.items():
         assert stems.oracle_column(n, s, c) == column, (n, s, c)
 
