@@ -26,7 +26,6 @@ validating inputs and in the ``coeffs`` and ``marks`` views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -42,7 +41,6 @@ def _check_level(n: object, i: object) -> None:
         raise ValueError(f"level {i} outside 0..{n}")
 
 
-@dataclass(frozen=True, init=False)
 class BurnsideElement(Numerators):
     """An element of A_Q(C_{2^i}) at the subgroup C_{2^i} of the ambient
     group C_{2^n}; coefficient 0 multiplies 1 and coefficient 1+j

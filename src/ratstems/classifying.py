@@ -43,7 +43,6 @@ one integer Horner (``_eval_at``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -51,7 +50,7 @@ from typing import Callable, Iterator, Sequence
 
 from .burnside import BurnsideElement, transferred_tops
 from .mackey import PLUS, GradedTable, MackeyClass, classify
-from .series import TruncatedSeries, _exact_nums
+from .series import Frozen, TruncatedSeries, _exact_nums
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -82,8 +81,7 @@ def bu_series(k: int, bound: int) -> TruncatedSeries:
     return out
 
 
-@dataclass(frozen=True)
-class LevelComponents:
+class LevelComponents(Frozen):
     """The fixed-point components at one subgroup level, as the sum of
     their cohomology series.  Every component is connected, so degree 0
     of the series counts the components."""
@@ -99,8 +97,7 @@ class LevelComponents:
         return self.series.nums[0]
 
 
-@dataclass(frozen=True)
-class FixedPointDiagram:
+class FixedPointDiagram(Frozen):
     """Fixed-point components of an equivariant classifying space, one
     LevelComponents per subgroup level 0..n."""
 
@@ -216,8 +213,7 @@ def gm_assemble(diagram: FixedPointDiagram) -> GradedTable:
 # ---------------------------------------------------------------------------
 # The circle case as generators and relations.
 
-@dataclass(frozen=True)
-class CirclePresentation:
+class CirclePresentation(Frozen):
     """Presentation of the B_G S^1 cohomology: a polynomial Euler class
     w in degree 2 over the degree-0 ring, which is the Burnside algebra
     extended by orthogonal classes u[m,j] (m the conductor level,
@@ -288,8 +284,7 @@ def sym_invariants_series(component_series: Sequence[TruncatedSeries],
     return hs[m]
 
 
-@dataclass(frozen=True)
-class TorusCheckU:
+class TorusCheckU(Frozen):
     """Level-by-level comparison of the assembled U(m) answer with
     symmetric invariants of the torus answer."""
 
@@ -319,8 +314,7 @@ def torus_check_u(n: int, m: int, bound: int) -> TorusCheckU:
     return TorusCheckU(n, m, bound, tuple(rows))
 
 
-@dataclass(frozen=True)
-class TorusCheckSU2:
+class TorusCheckSU2(Frozen):
     """Top-level component-count comparison for SU(2): the assembled
     count against the torus-side prediction under the chosen Weyl
     treatment."""
@@ -364,8 +358,7 @@ def torus_check_su2(n: int, action: str = "trivial") -> TorusCheckSU2:
 # ---------------------------------------------------------------------------
 # Two candidate answers for B_G Sigma_2.
 
-@dataclass(frozen=True)
-class SigmaTwoComparison:
+class SigmaTwoComparison(Frozen):
     """The directly assembled answer against the Euler-ideal quotient of
     the circle answer, with their level-dimension differences listed as
     (degree, level, assembled dim, quotient dim)."""
@@ -423,8 +416,7 @@ def _poly_from_roots(roots: Sequence[int]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class CollapsePresentation:
+class CollapsePresentation(Frozen):
     """Idempotent splitting of a degree-0 class e with spectrum 0..s:
     the minimal polynomial x(x-1)...(x-s) and, for each nonzero
     eigenvalue i, the polynomial in e projecting onto it.  Both are

@@ -19,12 +19,11 @@ the third slot is always zero; a nonzero value is a hard error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from typing import Mapping, Sequence
 
-from .series import TruncatedSeries
+from .series import Frozen, TruncatedSeries
 
 PLUS = 1
 MINUS = -1
@@ -47,15 +46,19 @@ def _same_group(self, other) -> None:
         raise ValueError("ambient group exponents differ")
 
 
-@dataclass(frozen=True)
-class MackeyClass:
+class MackeyClass(Frozen):
     """A finite multiset of simple summands M_i^(sign) over C_{2^n}.
 
     entries is a sorted tuple of (i, sign, mult) with mult > 0.
     """
 
     n: int
-    entries: tuple[tuple[int, int, int], ...] = ()
+    entries: tuple[tuple[int, int, int], ...]
+
+    def __init__(self, n: int, entries: tuple[tuple[int, int, int], ...] = ()) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -96,6 +99,9 @@ class MackeyClass:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.entries == other.entries and self.n == other.n
+
+    # defining __eq__ sets __hash__ to None in this class body
+    __hash__ = Frozen.__hash__
 
     @classmethod
     def zero(cls, n: int) -> "MackeyClass":
@@ -198,43 +204,41 @@ def classify(n: int, eigendata: Sequence[tuple[int, int, int]]) -> MackeyClass:
 _box_class = lru_cache(maxsize=1024)(MackeyClass)
 
 
-@dataclass(frozen=True)
-class GradedTable:
+class GradedTable(Frozen):
     """A finitely supported table of MackeyClasses over integer degrees."""
 
     n: int
-    entries: tuple[tuple[int, MackeyClass], ...] = ()
+    entries: tuple[tuple[int, MackeyClass], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, entries: tuple[tuple[int, MackeyClass], ...] = ()) -> None:
         # degrees strictly increasing with nonzero classes are already the
         # normal form, as box, shift and the sphere tables build them
         in_order = True
         prev = None
-        for degree, cls in self.entries:
-            if cls.n != self.n:
+        for degree, cls in entries:
+            if cls.n != n:
                 raise ValueError("class and table ambient exponents differ")
             if in_order and (not cls.entries or (prev is not None and prev >= degree)):
                 in_order = False
             prev = degree
-        if in_order:
-            normal = self.entries
-        else:
+        if not in_order:
             # a degree with one class keeps it; several become one class
             # built from their concatenated entries
             grouped: dict[int, list[MackeyClass]] = {}
-            for degree, cls in self.entries:
+            for degree, cls in entries:
                 grouped.setdefault(degree, []).append(cls)
             normal = []
             for degree in sorted(grouped):
                 classes = grouped[degree]
                 cls = classes[0] if len(classes) == 1 else MackeyClass(
-                    self.n, tuple(e for c in classes for e in c.entries))
+                    n, tuple(e for c in classes for e in c.entries))
                 if cls.entries:
                     normal.append((degree, cls))
-            normal = tuple(normal)
-            object.__setattr__(self, "entries", normal)
+            entries = tuple(normal)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
         # not fields: a table's identity is its entries
-        object.__setattr__(self, "_by_degree", dict(normal))
+        object.__setattr__(self, "_by_degree", dict(entries))
         object.__setattr__(self, "_by_level", None)
 
     @classmethod

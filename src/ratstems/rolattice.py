@@ -19,11 +19,11 @@ functions drive every fixed-point computation downstream.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+
+from .series import Frozen
 
 
-@dataclass(frozen=True)
-class VirtualRep:
+class VirtualRep(Frozen):
     """A virtual representation of C_{2^n} in the reduced basis.
 
     Fields: ambient exponent n >= 0, trivial part d, sign part s, and
@@ -35,6 +35,13 @@ class VirtualRep:
     d: int
     s: int
     c: tuple[int, ...]
+
+    def __init__(self, n: int, d: int, s: int, c: tuple[int, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "c", c)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.n < 0:

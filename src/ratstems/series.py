@@ -14,16 +14,20 @@ exactly inside the window.
 ``Numerators`` is the one owner of that reduced-numerator form:
 reduction, the type-and-place check, sums, scalings and the ``Fraction``
 view.  Series, Burnside elements (``burnside``) and sector elements
-(``stems``) are frozen dataclasses on it.
+(``stems``) are built on it.
+
+``Frozen`` is the one base of the package's value classes: fields from
+the class's own annotations, compared, hashed and printed by value, and
+never reassigned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 
@@ -65,29 +69,71 @@ def _fraction_str(a: int, den: int) -> str:
     return str(a // g) if g == den else f"{a // g}/{den // g}"
 
 
-class Numerators:
+class Frozen:
+    """An immutable value whose fields are its class's own annotations, in
+    order (two or more, so ``_values``, an attrgetter, reads a tuple): equal
+    to a value of its class with an equal field tuple, hashed and shown as
+    ``Name(field=value, ...)`` by it.  The generic ``__init__`` takes fields
+    by position or keyword, with class-attribute defaults, then calls
+    ``__post_init__``; assigning or deleting any attribute raises AttributeError."""
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = fields = tuple(cls.__annotations__)
+        cls._defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+        cls._values = attrgetter(*fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields, name = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
+        values = {**self._defaults, **dict(zip(fields, args))}
+        for key, value in kwargs.items():
+            if key not in fields or key in fields[:len(args)]:
+                raise TypeError(f"{name} got an unknown or repeated field {key!r}")
+            values[key] = value
+        for key in fields:
+            if key not in values:
+                raise TypeError(f"{name} is missing field {key!r}")
+            object.__setattr__(self, key, values[key])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Validate or normalize the fields; nothing by default."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete {type(self).__name__}.{name}")
+
+    __delattr__ = __setattr__
+
+
+class Numerators(Frozen):
     """The reduced-numerator form of an exact rational vector at a place.
 
     A value is integer numerators ``nums`` over one positive denominator
     ``den``, reduced so that ``gcd(den, *nums) == 1`` (the zero vector has
     ``den == 1``).  That form is unique, so equal values have equal
-    fields.  Subclasses are frozen dataclasses whose fields are their
-    place (what must match for two values to add), then ``den``, then
-    ``nums``; each defines ``_place`` to read the place back as one
-    tuple."""
+    fields.  Subclasses' fields are their place (what must match for two
+    values to add), then ``den``, then ``nums``; each defines ``_place``
+    to read the place back as one tuple."""
 
     den: int
     nums: tuple[int, ...]
 
-    def __init_subclass__(cls) -> None:
-        # the place is every field annotated before den and nums
-        cls._place_fields = tuple(cls.__annotations__)[:-2]
-
     def _fill(self, place: tuple, den: int, nums: tuple[int, ...]) -> None:
-        fields = vars(self)
-        fields.update(zip(self._place_fields, place))
-        fields["den"] = den
-        fields["nums"] = nums
+        # the place is every field before den and nums
+        vars(self).update(zip(self._fields, (*place, den, nums)))
 
     @classmethod
     def _reduced(cls, place: tuple, den: int, nums: Sequence[int]):
@@ -139,7 +185,6 @@ class Numerators:
         return tuple(Fraction(a, den) if a else _ZERO for a in self.nums)
 
 
-@dataclass(frozen=True, init=False)
 class TruncatedSeries(Numerators):
     """A power series in one variable t, truncated above degree ``bound``:
     coefficient k is ``nums[k] / den``."""

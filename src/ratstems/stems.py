@@ -35,7 +35,6 @@ homotopy fixed-point lattices against the stems (``lattice_mismatches``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, product, repeat
@@ -46,7 +45,7 @@ from typing import Iterable, Iterator, Mapping
 
 from .mackey import MINUS, PLUS, GradedTable, MackeyClass
 from .rolattice import VirtualRep
-from .series import Numerators, _exact, _numerators
+from .series import Frozen, Numerators, _exact, _numerators
 
 # The bound of the sphere-table cache.  A box scan reads each column's table
 # once, and a miss boxes the tables of its key's two halves; neither workload
@@ -58,8 +57,7 @@ _SPHERE_TABLES = 4096
 _SHAPES = 4096
 
 
-@dataclass(frozen=True)
-class StemTuple:
+class StemTuple(Frozen):
     """A decoded degree: j collects orientation-class exponents, j_prime
     Euler-class exponents, one slot per generator position (position
     n-1 is the sigma slot, positions k <= n-2 the l_k slots).  The
@@ -325,8 +323,7 @@ def sector_alphabet(m: int, sector: int) -> tuple[tuple, ...]:
     return tuple(keys)
 
 
-@dataclass(frozen=True)
-class SectorMonomial:
+class SectorMonomial(Frozen):
     """A Laurent monomial in one sector's generator alphabet, at a level
     with group exponent m.  Each sector holds at most one monomial per
     degree, so the exponents are determined by the degree and vice
@@ -380,7 +377,6 @@ def _sector_alive(v: VirtualRep, i: int, level: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, init=False)
 class SectorElement(Numerators):
     """A homogeneous element of the point ring's value at one level.
 
@@ -568,8 +564,7 @@ class SectorElement(Numerators):
 # ---------------------------------------------------------------------------
 # Presentation of the point and fixed-point degree lattices.
 
-@dataclass(frozen=True)
-class PresentationGenerator:
+class PresentationGenerator(Frozen):
     """One invertible generator pair of the point presentation: the
     direct class and its sectorwise inverse partner span the unit group
     of one sector lattice in one degree."""
@@ -582,12 +577,21 @@ class PresentationGenerator:
     name: str
     partner: str
 
+    def __init__(self, family: int, sector: int, lam_index: int | None, sign: int,
+                 degree: VirtualRep, name: str, partner: str) -> None:
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "sector", sector)
+        object.__setattr__(self, "lam_index", lam_index)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "partner", partner)
+
     def spans(self) -> str:
         return f"M{self.sector}" + ("-" if self.sign == MINUS else "")
 
 
-@dataclass(frozen=True)
-class PointPresentation:
+class PointPresentation(Frozen):
     n: int
     generators: tuple[PresentationGenerator, ...]
     relations: tuple[str, ...]

@@ -17,9 +17,9 @@ from hypothesis import given, strategies as st
 
 from ratstems import classifying, cli, stems
 from ratstems.burnside import BurnsideElement, idempotents
-from ratstems.mackey import MackeyClass, NonSignIsotypicError
+from ratstems.mackey import GradedTable, MackeyClass, NonSignIsotypicError
 from ratstems.rolattice import VirtualRep
-from ratstems.series import TruncatedSeries
+from ratstems.series import Frozen, Numerators, TruncatedSeries
 from ratstems.stems import SectorElement
 from test_stems import at, box_degrees
 
@@ -923,11 +923,7 @@ def test_lattice_check_catches_a_shifted_column(monkeypatch, capsys):
                  SectorElement.unit(3, 3), id="SectorElement"),
 ])
 def test_integer_backed_values_are_immutable_and_copy(value, elsewhere):
-    with pytest.raises(AttributeError):
-        value.den = 2
-    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-        assert twin == value and hash(twin) == hash(value)
-        assert (twin.den, twin.nums) == (value.den, value.nums)
+    # immutability and copies: test_value_classes_compare_hash_and_copy_by_fields
     # the reduced-numerator contract the three types share
     assert value + value == value.scale(2)
     assert value.scale(0).den == 1 and value.scale(0).is_zero()
@@ -935,6 +931,100 @@ def test_integer_backed_values_are_immutable_and_copy(value, elsewhere):
         value + 1
     with pytest.raises(ValueError):
         value + elsewhere
+
+
+# One sample per value class, built on first use.
+VALUE_SAMPLES = {
+    "TruncatedSeries": lambda: TruncatedSeries(4, (1, Fraction(-2, 3), 0, 5)),
+    "BurnsideElement": lambda: BurnsideElement(3, 2, (Fraction(1, 2), -3, 0)),
+    "SectorElement": lambda: SectorElement.orient_lambda(3, 1).scale(Fraction(-2, 7)),
+    "VirtualRep": lambda: VirtualRep(3, 1, -1, (2, 0)),
+    "MackeyClass": lambda: MackeyClass(2, ((0, -1, 1), (2, 1, 2))),
+    "GradedTable": lambda: GradedTable(2, ((0, MackeyClass.simple(2, 1)),)),
+    "LevelComponents": lambda: classifying.fixed_point_data("bs1", 2, 4).level(1),
+    "FixedPointDiagram": lambda: classifying.fixed_point_data("bs1", 1, 2),
+    "CirclePresentation": lambda: classifying.bgs1_presentation(1, 2),
+    "TorusCheckU": lambda: classifying.torus_check_u(1, 2, 2),
+    "TorusCheckSU2": lambda: classifying.torus_check_su2(2),
+    "SigmaTwoComparison": lambda: classifying.bsigma2_consistency(2, 2),
+    "CollapsePresentation": lambda: classifying.collapse(2),
+    "StemTuple": lambda: stems.StemTuple(2, (0, 1), (0, 0)),
+    "SectorMonomial": lambda: stems.SectorMonomial(2, 0, ()),
+    "PresentationGenerator": lambda: stems.point_presentation(2).generators[0],
+    "PointPresentation": lambda: stems.point_presentation(1),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_SAMPLES)
+def test_value_classes_compare_hash_and_copy_by_fields(name):
+    value = VALUE_SAMPLES[name]()
+    cls = type(value)
+    assert cls.__name__ == name and issubclass(cls, Frozen)
+    fields = cls.__annotations__
+    values = tuple(getattr(value, f) for f in fields)
+    assert hash(value) == hash(values)
+    if cls.__repr__ is Frozen.__repr__:
+        assert repr(value) == f"{name}({', '.join(f'{f}={v!r}' for f, v in zip(fields, values))})"
+    for attr in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, attr)
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and hash(twin) == hash(value)
+        assert tuple(getattr(twin, f) for f in fields) == values
+    assert value != values
+    if not issubclass(cls, Numerators):  # those are built from their coefficients
+        assert cls(*values) == value == cls(**dict(zip(fields, values)))
+        with pytest.raises(TypeError):
+            cls()
+        with pytest.raises(TypeError):
+            cls(*values, unknown=0)
+
+
+def test_value_class_defaults_and_restated_hash():
+    assert MackeyClass(2) == MackeyClass.zero(2) == MackeyClass(n=2, entries=())
+    assert GradedTable(n=2) == GradedTable(2, ())
+    assert {MackeyClass(2), MackeyClass.zero(2)} == {MackeyClass(2)}
+    with pytest.raises(TypeError):
+        VirtualRep(1, 0, 0)
+    with pytest.raises(TypeError):
+        VirtualRep(1, 0, 0, (), d=1)
+
+    class Pair(Frozen):  # the generic __init__, with a default
+        a: int
+        b: int = 7
+
+    assert Pair(1) == Pair(a=1) == Pair(1, 7) != Pair(1, 8)
+    assert repr(Pair(b=2, a=1)).endswith(".<locals>.Pair(a=1, b=2)")
+    for args, kwargs in (((), {}), ((1, 2, 3), {}), ((1,), {"a": 1}), ((1,), {"c": 1})):
+        with pytest.raises(TypeError):
+            Pair(*args, **kwargs)
+
+
+def test_post_init_hooks_count_every_construction(monkeypatch):
+    # benchmarks/tracer.py counts VirtualRep and MackeyClass constructions
+    # by rebinding __post_init__ on the class, so each __init__ must call it
+    counts = {VirtualRep: 0, MackeyClass: 0}
+    for cls in counts:
+        def counted(obj, cls=cls, original=cls.__post_init__):
+            counts[cls] += 1
+            original(obj)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    for d in range(5):
+        VirtualRep(2, d, 1, (0,))
+    for i in range(3):
+        MackeyClass.simple(2, i)
+    assert counts == {VirtualRep: 5, MackeyClass: 3}
+
+
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    src = str(PACKAGE_DIR.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from ratstems import cli, stems; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
