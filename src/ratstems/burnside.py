@@ -27,7 +27,6 @@ validating inputs and in the ``coeffs`` and ``marks`` views.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .series import _ZERO, Numerators, _exact_nums, _fraction_str
 

@@ -46,7 +46,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Callable, Iterator, Sequence
 
 from .burnside import BurnsideElement, transferred_tops
 from .mackey import PLUS, GradedTable, MackeyClass, classify

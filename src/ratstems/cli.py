@@ -29,8 +29,6 @@ import sys
 from fractions import Fraction
 from itertools import islice, repeat
 from math import lcm
-from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import __version__
 from .burnside import BurnsideElement, _transferred_tops, from_marks, idempotents
@@ -49,7 +47,8 @@ def _agree(results: Mapping[str, Any]) -> bool:
     return values.count(values[0]) == len(values)
 
 
-Column = Callable[[int, int, tuple[int, ...]], Mapping[int, MackeyClass]]
+# a stem method's column function, named in annotations only
+Column = "Callable[[int, int, tuple[int, ...]], Mapping[int, MackeyClass]]"
 
 # Columns per chunk of a scan: each method answers a chunk in one map,
 # and a chunk whose methods' answer lists are equal is accepted whole.
@@ -578,6 +577,10 @@ def _join_degree_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+# json.dumps(rec, sort_keys=True) without a new encoder for every record
+_encode_record = json.JSONEncoder(sort_keys=True).encode
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -591,12 +594,13 @@ def run(argv: Sequence[str] | None = None) -> int:
         # looked up on every run, so a rebound cmd_* global takes effect
         records, status = globals()["cmd_" + args.command.replace("-", "_")](args)
         if args.format == "records":
-            lines = [json.dumps(rec, sort_keys=True) for rec in records]
+            lines = list(map(_encode_record, records))
         else:
             lines = [row for rec in records for row in text_rows(args, rec)]
         text = "\n".join(lines)
         if args.out:
-            Path(args.out).write_text(text + "\n", encoding="utf-8")
+            with open(args.out, "w", encoding="utf-8") as out:
+                out.write(text + "\n")
     except NonSignIsotypicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -605,6 +609,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 2
     except MemoryError:  # a size whose tables cannot be allocated, such as --n 10**15
         print("error: input too large: out of memory", file=sys.stderr)
+        return 2
+    except OverflowError as exc:  # a size past the platform's index range, such as --n 10**20
+        print(f"error: input too large: {exc}", file=sys.stderr)
         return 2
     print(text)
     return status

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from typing import Mapping, Sequence
 
 from .series import Frozen, TruncatedSeries
 
@@ -199,7 +198,7 @@ def classify(n: int, eigendata: Sequence[tuple[int, int, int]]) -> MackeyClass:
 
 
 # The MackeyClass constructor behind a bounded cache, for the classes that
-# GradedTable.box builds: the sphere tables' box products repeat a few
+# GradedTable.box and the one-factor sphere tables build: they repeat a few
 # dozen distinct classes.  An invalid entry tuple raises and is not cached.
 _box_class = lru_cache(maxsize=1024)(MackeyClass)
 
@@ -212,7 +211,8 @@ class GradedTable(Frozen):
 
     def __init__(self, n: int, entries: tuple[tuple[int, MackeyClass], ...] = ()) -> None:
         # degrees strictly increasing with nonzero classes are already the
-        # normal form, as box, shift and the sphere tables build them
+        # normal form; box, shift and the sphere tables skip this check
+        # through _from_normal
         in_order = True
         prev = None
         for degree, cls in entries:
@@ -235,11 +235,22 @@ class GradedTable(Frozen):
                 if cls.entries:
                     normal.append((degree, cls))
             entries = tuple(normal)
+        self._fill(n, entries)
+
+    def _fill(self, n: int, entries: tuple[tuple[int, MackeyClass], ...]) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
         # not fields: a table's identity is its entries
         object.__setattr__(self, "_by_degree", dict(entries))
         object.__setattr__(self, "_by_level", None)
+
+    @classmethod
+    def _from_normal(cls, n: int, entries: tuple[tuple[int, MackeyClass], ...]) -> "GradedTable":
+        """The table of entries already in normal form, unchecked: degrees
+        strictly increasing, each with a nonzero class over C_{2^n}."""
+        table = cls.__new__(cls)
+        table._fill(n, entries)
+        return table
 
     @classmethod
     def from_dict(cls, n: int, classes: Mapping[int, MackeyClass]) -> "GradedTable":
@@ -277,11 +288,11 @@ class GradedTable(Frozen):
         # degrees in order and each degree's entries sorted: the table is
         # built in normal form, and so is each class unless a summand repeats
         n = self.n
-        return GradedTable(n, tuple([(d, _box_class(n, tuple(sorted(summands))))
-                                     for d, summands in sorted(out.items())]))
+        return GradedTable._from_normal(n, tuple([(d, _box_class(n, tuple(sorted(summands))))
+                                                  for d, summands in sorted(out.items())]))
 
     def shift(self, d: int) -> "GradedTable":
-        return GradedTable(self.n, tuple((deg + d, c) for deg, c in self.entries))
+        return GradedTable._from_normal(self.n, tuple((deg + d, c) for deg, c in self.entries))
 
     def poincare(self, h: int, bound: int) -> TruncatedSeries:
         """Poincare series of the level-h values; needs degrees >= 0."""

@@ -186,34 +186,32 @@ class DegreeSyntaxError(ValueError):
         self.col = col
 
 
-# ASCII digits only: \d and str.isdecimal also take other scripts' digits
-_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*(),]|\s+|.")
+# One token per match, after any whitespace: an ASCII integer (\d and
+# str.isdecimal also take other scripts' digits), a name, a punctuation
+# mark, any other character, or the end of the text.  The skipped
+# whitespace is followed by a character one alternative takes or by the
+# end, so no match backtracks into it.
+_TOKEN = re.compile(r"\s*(?:([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*(),])|(\S)|(\Z))")
+_KINDS = (None, "int", "name", None, "name", "end")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The line and column, both from 1, of a character offset."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, lexeme, offset) tokens of text, ending with an "end"
+    token.  A punctuation mark is its own kind; a character outside the
+    grammar is a one-letter name when it is a letter, else an error."""
     tokens = []
-    line, col = 1, 1
     for match in _TOKEN.finditer(text):
-        lexeme = match.group(0)
-        if lexeme.strip() == "":
-            for ch in lexeme:
-                if ch == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            continue
-        if lexeme.isascii() and lexeme.isdecimal():
-            kind = "int"
-        elif lexeme[0].isalpha() or lexeme[0] == "_":
-            kind = "name"
-        elif lexeme in "+-*(),":
-            kind = lexeme
-        else:
-            raise DegreeSyntaxError(f"unexpected character {lexeme!r}", line, col)
-        tokens.append((kind, lexeme, line, col))
-        col += len(lexeme)
-    tokens.append(("end", "", line, col))
+        group = match.lastindex
+        lexeme = match[group]
+        if group == 4 and not lexeme.isalpha():
+            raise DegreeSyntaxError(f"unexpected character {lexeme!r}",
+                                    *_position(text, match.start(group)))
+        tokens.append((_KINDS[group] or lexeme, lexeme, match.start(group)))
     return tokens
 
 
@@ -223,87 +221,97 @@ class _DegreeParser:
     expr := ['-'] term (('+'|'-') term)*
     term := INT ['*' atom] | atom
     atom := 'sigma' | 'l'<k> | 'lam' '(' INT ',' INT ')'
+
+    Terms add into one list of coordinates (d, s, c_0..c_{n-2}), and the
+    ``VirtualRep`` is built once, from that list, at the end.
     """
 
     def __init__(self, text: str, n: int):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.n = n
 
-    def peek(self) -> tuple[str, str, int, int]:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, str, int, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def error(self, message: str, offset: int) -> DegreeSyntaxError:
+        return DegreeSyntaxError(message, *_position(self.text, offset))
 
     def fail(self, message: str) -> DegreeSyntaxError:
-        _, _, line, col = self.peek()
-        return DegreeSyntaxError(message, line, col)
+        return self.error(message, self.tokens[self.pos][2])
 
-    def number(self, digits: str, line: int, col: int) -> int:
+    def number(self, digits: str, offset: int) -> int:
         try:
             return int(digits)
         except ValueError as exc:  # beyond the interpreter's digit limit
-            raise DegreeSyntaxError(f"integer literal of {len(digits)} digits is too long",
-                                    line, col) from exc
+            raise self.error(f"integer literal of {len(digits)} digits is too long",
+                             offset) from exc
 
-    def expect(self, kind: str) -> tuple[str, str, int, int]:
-        if self.peek()[0] != kind:
-            raise self.fail(f"expected {kind!r}, found {self.peek()[1]!r}")
-        return self.take()
+    def expect(self, kind: str) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise self.fail(f"expected {kind!r}, found {tok[1]!r}")
+        self.pos += 1
+        return tok
 
     def parse(self) -> VirtualRep:
-        total = VirtualRep.zero(self.n)
+        n = self.n
+        if n < 0:  # after any character error, before any grammar error
+            raise ValueError("group exponent n must be >= 0")
+        coords = [0] * max(n + 1, 2)
         sign = 1
-        if self.peek()[0] == "-":
-            self.take()
+        if self.tokens[0][0] == "-":
+            self.pos = 1
             sign = -1
-        total = total + sign * self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            total = total + (1 if op == "+" else -1) * self.term()
-        if self.peek()[0] != "end":
-            raise self.fail(f"unexpected trailing {self.peek()[1]!r}")
-        return total
+        self.term(sign, coords)
+        kind, lexeme, _ = self.tokens[self.pos]
+        while kind in ("+", "-"):
+            self.pos += 1
+            self.term(1 if kind == "+" else -1, coords)
+            kind, lexeme, _ = self.tokens[self.pos]
+        if kind != "end":
+            raise self.fail(f"unexpected trailing {lexeme!r}")
+        return VirtualRep(n, coords[0], coords[1], tuple(coords[2:]))
 
-    def term(self) -> VirtualRep:
-        kind, lexeme, line, col = self.peek()
+    def term(self, coeff: int, coords: list[int]) -> None:
+        """Add coeff times the next term into coords."""
+        kind, lexeme, offset = self.tokens[self.pos]
         if kind == "int":
-            self.take()
-            coeff = self.number(lexeme, line, col)
-            if self.peek()[0] == "*":
-                self.take()
-                return coeff * self.atom()
-            return VirtualRep.one(self.n, coeff)
-        return self.atom()
-
-    def atom(self) -> VirtualRep:
-        kind, lexeme, line, col = self.peek()
+            self.pos += 1
+            coeff *= self.number(lexeme, offset)
+            if self.tokens[self.pos][0] != "*":
+                coords[0] += coeff
+                return
+            self.pos += 1
+            kind, lexeme, offset = self.tokens[self.pos]
         if kind != "name":
             raise self.fail(f"expected a representation name, found {lexeme!r}")
-        self.take()
+        self.pos += 1
+        n = self.n
         if lexeme == "sigma":
-            if self.n < 1:
-                raise DegreeSyntaxError("sigma needs n >= 1", line, col)
-            return VirtualRep.sigma(self.n)
-        if lexeme == "lam":
+            if n < 1:
+                raise self.error("sigma needs n >= 1", offset)
+            coords[1] += coeff
+        elif lexeme == "lam":
             self.expect("(")
             s = self.number(*self.expect("int")[1:])
             self.expect(",")
             m = self.number(*self.expect("int")[1:])
             self.expect(")")
             try:
-                return _rotation(self.n, s, m)
+                rotation = _rotation(n, s, m)
             except ValueError as exc:
-                raise DegreeSyntaxError(str(exc), line, col) from exc
-        if re.fullmatch(r"l[0-9]+", lexeme):
-            k = self.number(lexeme[1:], line, col)
-            if k > self.n - 2:
-                raise DegreeSyntaxError(f"l{k} needs n >= {k + 2}", line, col)
-            return VirtualRep.lam(self.n, k)
-        raise DegreeSyntaxError(f"unknown representation name {lexeme!r}", line, col)
+                raise self.error(str(exc), offset) from exc
+            coords[0] += coeff * rotation.d
+            coords[1] += coeff * rotation.s
+            for k, ck in enumerate(rotation.c):
+                if ck:
+                    coords[k + 2] += coeff * ck
+        elif lexeme[0] == "l" and lexeme[1:].isdigit():  # names are ASCII past one letter
+            k = self.number(lexeme[1:], offset)
+            if k > n - 2:
+                raise self.error(f"l{k} needs n >= {k + 2}", offset)
+            coords[k + 2] += coeff
+        else:
+            raise self.error(f"unknown representation name {lexeme!r}", offset)
 
 
 def parse_degree(text: str, n: int) -> VirtualRep:

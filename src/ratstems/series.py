@@ -28,7 +28,6 @@ from functools import cached_property
 from itertools import islice
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Iterable, Sequence
 
 
 _ZERO = Fraction(0)

@@ -41,9 +41,8 @@ from itertools import chain, product, repeat
 from math import lcm
 from operator import neg
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
 
-from .mackey import MINUS, PLUS, GradedTable, MackeyClass
+from .mackey import MINUS, PLUS, GradedTable, MackeyClass, _box_class
 from .rolattice import VirtualRep
 from .series import Frozen, Numerators, _exact, _numerators
 
@@ -255,7 +254,9 @@ def _smash_table(n: int, s: int, c: tuple[int, ...]) -> GradedTable:
         levels.setdefault(degree, []).append((h, w.fixed_sign(h), 1))
         if h < n - 1:
             tail -= 2 * c[h]
-    return GradedTable(n, tuple((d, MackeyClass(n, tuple(es))) for d, es in levels.items()))
+    # levels ascend within a degree: sorted by degree, the table is in normal form
+    return GradedTable._from_normal(n, tuple([(d, _box_class(n, tuple(es)))
+                                              for d, es in sorted(levels.items())]))
 
 
 def sphere_homology(v: VirtualRep) -> GradedTable:

@@ -386,6 +386,28 @@ def test_oversized_inputs_are_usage_errors(capsys, argv):
     assert err == "error: input too large: out of memory\n"
 
 
+PAST_INDEX = str(10 ** 20)  # past the platform's index range, 2^63
+
+
+@pytest.mark.parametrize("argv", [
+    ["sphere", "--n", PAST_INDEX, "--rep", "sigma"],
+    ["stems", "--n", PAST_INDEX, "--degree", "1"],
+    ["stems", "--n", PAST_INDEX, "--scan", "1"],
+    ["stems", "--n", "3", "--scan", PAST_INDEX],
+    ["point-presentation", "--n", PAST_INDEX],
+    ["burnside", "--n", PAST_INDEX],
+    ["burnside", "--n", "3", "--level", PAST_INDEX],
+], ids=["sphere", "stems-degree", "stems-scan-n", "stems-scan-bound", "point-presentation",
+        "burnside", "burnside-level"])
+def test_inputs_past_the_index_range_are_usage_errors(capsys, argv):
+    # a size that does not fit a machine index raises OverflowError at
+    # its first table; it is refused like a size that does not fit memory
+    status, lines, err = run_lines(capsys, argv)
+    assert (status, lines) == (2, [])
+    assert err.startswith("error: input too large: ") and err.count("\n") == 1
+    assert "out of memory" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["stems", "--degree", "1"], ["sphere", "--rep", "sigma"], ["point-presentation"],
     ["burnside"], ["bgs1"], ["bgsigma2"], ["bgu"], ["torus-check", "--lie", "um"],
@@ -1023,6 +1045,16 @@ def test_cli_imports_neither_dataclasses_nor_inspect():
     code = ("import sys; sys.path.insert(0, sys.argv[1]); from ratstems import cli, stems; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-I", "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_imports_neither_typing_nor_pathlib():
+    # -S as well: this interpreter's site may import both itself
+    src = str(PACKAGE_DIR.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from ratstems import cli; "
+            "print(sorted({'typing', 'pathlib'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
 

@@ -8,13 +8,14 @@ pins down fixed_dim on effective representations before any library
 code runs; virtual values must then be the linear extension.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ratstems import cli
-from ratstems.rolattice import DegreeSyntaxError, VirtualRep, parse_degree
+from ratstems.rolattice import DegreeSyntaxError, VirtualRep, _rotation, parse_degree
 
 
 # ---------------------------------------------------------------------------
@@ -324,3 +325,192 @@ def virtual_reps(n: int):
 @given(st.integers(min_value=1, max_value=4).flatmap(virtual_reps))
 def test_str_round_trips_through_parser(v):
     assert parse_degree(str(v), v.n) == v
+
+
+# ---------------------------------------------------------------------------
+# The parser against a term-by-term reference: a VirtualRep for every term
+# and every partial sum, line and column counted token by token.
+
+_REFERENCE_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|[-+*(),]|\s+|.")
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    tokens = []
+    line, col = 1, 1
+    for match in _REFERENCE_TOKEN.finditer(text):
+        lexeme = match.group(0)
+        if lexeme.strip() == "":
+            for ch in lexeme:
+                if ch == "\n":
+                    line += 1
+                    col = 1
+                else:
+                    col += 1
+            continue
+        if lexeme.isascii() and lexeme.isdecimal():
+            kind = "int"
+        elif lexeme[0].isalpha() or lexeme[0] == "_":
+            kind = "name"
+        elif lexeme in "+-*(),":
+            kind = lexeme
+        else:
+            raise DegreeSyntaxError(f"unexpected character {lexeme!r}", line, col)
+        tokens.append((kind, lexeme, line, col))
+        col += len(lexeme)
+    tokens.append(("end", "", line, col))
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, text: str, n: int):
+        self.tokens = _reference_tokenize(text)
+        self.pos = 0
+        self.n = n
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, message: str) -> DegreeSyntaxError:
+        _, _, line, col = self.peek()
+        return DegreeSyntaxError(message, line, col)
+
+    def number(self, digits: str, line: int, col: int) -> int:
+        try:
+            return int(digits)
+        except ValueError as exc:
+            raise DegreeSyntaxError(f"integer literal of {len(digits)} digits is too long",
+                                    line, col) from exc
+
+    def expect(self, kind: str):
+        if self.peek()[0] != kind:
+            raise self.fail(f"expected {kind!r}, found {self.peek()[1]!r}")
+        return self.take()
+
+    def parse(self) -> VirtualRep:
+        total = VirtualRep.zero(self.n)
+        sign = 1
+        if self.peek()[0] == "-":
+            self.take()
+            sign = -1
+        total = total + sign * self.term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.take()[0]
+            total = total + (1 if op == "+" else -1) * self.term()
+        if self.peek()[0] != "end":
+            raise self.fail(f"unexpected trailing {self.peek()[1]!r}")
+        return total
+
+    def term(self) -> VirtualRep:
+        kind, lexeme, line, col = self.peek()
+        if kind == "int":
+            self.take()
+            coeff = self.number(lexeme, line, col)
+            if self.peek()[0] == "*":
+                self.take()
+                return coeff * self.atom()
+            return VirtualRep.one(self.n, coeff)
+        return self.atom()
+
+    def atom(self) -> VirtualRep:
+        kind, lexeme, line, col = self.peek()
+        if kind != "name":
+            raise self.fail(f"expected a representation name, found {lexeme!r}")
+        self.take()
+        if lexeme == "sigma":
+            if self.n < 1:
+                raise DegreeSyntaxError("sigma needs n >= 1", line, col)
+            return VirtualRep.sigma(self.n)
+        if lexeme == "lam":
+            self.expect("(")
+            s = self.number(*self.expect("int")[1:])
+            self.expect(",")
+            m = self.number(*self.expect("int")[1:])
+            self.expect(")")
+            try:
+                return _rotation(self.n, s, m)
+            except ValueError as exc:
+                raise DegreeSyntaxError(str(exc), line, col) from exc
+        if re.fullmatch(r"l[0-9]+", lexeme):
+            k = self.number(lexeme[1:], line, col)
+            if k > self.n - 2:
+                raise DegreeSyntaxError(f"l{k} needs n >= {k + 2}", line, col)
+            return VirtualRep.lam(self.n, k)
+        raise DegreeSyntaxError(f"unknown representation name {lexeme!r}", line, col)
+
+
+OVERLONG = "9" * 4400  # past the interpreter's 4300-digit int limit
+SPACES = st.sampled_from(["", "", " ", "  ", "\n", "\t", " \n ", "\r\n"])
+
+
+def _literal():
+    return st.sampled_from([*map(str, range(18)), OVERLONG])
+
+
+def _atom(n: int):
+    rotation = st.integers(min_value=0, max_value=6).map(lambda k: f"l{k}")  # k past n - 2 too
+    lam = st.builds(lambda s, m, ws: f"lam{ws}({s},{ws}{m}){ws}", _literal(), _literal(), SPACES)
+    top = max(n, 0)  # lam(1, 2^n) is the full turn, lam(1, 2^(n-1)) the half turn
+    turn = st.builds(lambda s, k: f"lam({s},{2 ** k})", st.sampled_from([1, 1, 3]),
+                     st.sampled_from([top, max(top - 1, 0)]) | st.integers(0, top))
+    wrong = st.sampled_from(["tau", "l", "lam", "lam(1)", "lam(1,2", "_x", "\u00e9", "l0x",
+                             "l" + OVERLONG, "l007", "L1", "l\u0661", "2\u00b2", "?"])
+    return st.one_of(st.just("sigma"), st.just("sigma"), rotation, rotation, turn, lam, wrong)
+
+
+def _term(n: int):
+    return st.one_of(_atom(n), _literal(),
+                     st.builds(lambda c, ws, a: f"{c}{ws}*{ws}{a}", _literal(), SPACES, _atom(n)))
+
+
+@st.composite
+def degree_cases(draw) -> tuple[str, int]:
+    """A group exponent n >= -1 and a text for it: an expression of the
+    grammar with a leading "-" or not and whitespace between terms, some
+    terms wrong, or a soup of the grammar's pieces."""
+    n = draw(st.integers(min_value=-1, max_value=5))
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        pieces = ["sigma", "lam", "(", ")", ",", "*", "+", "-", "l0", "l1", "l5", "l",
+                  "tau", "0", "1", "2", "8", OVERLONG, " ", "\n", "\u00e9", "?", "\u0661"]
+        return "".join(draw(st.lists(st.sampled_from(pieces), max_size=12))), n
+    text = draw(SPACES) + ("-" + draw(SPACES) if draw(st.booleans()) else "")
+    text += draw(_term(n))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        text += draw(SPACES) + draw(st.sampled_from("+-")) + draw(SPACES) + draw(_term(n))
+    return text + draw(SPACES), n
+
+
+def _outcome(parse, text: str, n: int):
+    try:
+        return parse(text, n)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+
+
+@settings(max_examples=200)
+@given(degree_cases())
+@example(("-lam(1,8) + 3*lam(3,2)\n - 2*lam(1,4)", 3))  # full, rotation and half turns
+@example(("2*lam(1,2) - lam(1,1)", 1))
+def test_parser_matches_the_term_by_term_reference(case):
+    text, n = case
+    assert (_outcome(parse_degree, text, n)
+            == _outcome(lambda t, m: _ReferenceParser(t, m).parse(), text, n))
+
+
+def test_a_long_chain_builds_one_virtual_rep(monkeypatch):
+    # the terms add into one coordinate list: no VirtualRep per term or
+    # partial sum, so the chain costs O(terms + n), not O(terms * n)
+    built = []
+    post_init = VirtualRep.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(VirtualRep, "__post_init__", counted)
+    v = parse_degree(" + ".join(f"l{k}" for k in range(3999)), 4000)
+    assert built == [v] and v.c == (1,) * 3999

@@ -432,6 +432,30 @@ def test_oracle_answers_large_powers():
         assert stems._smash_table.cache_info().currsize - before <= 2 * n - 1
 
 
+def test_sphere_tables_are_built_in_normal_form(monkeypatch):
+    # box, shift and the one-factor tables skip the checking constructor;
+    # every table of the heavy benchmark's box scans (n <= 4, bounds 12,
+    # 6, 4 and 3), and its shifts, must equal the checked table of its entries
+    built = []
+    from_normal = GradedTable._from_normal.__func__
+
+    def recorded(cls, n, entries):
+        built.append(from_normal(cls, n, entries))
+        return built[-1]
+
+    monkeypatch.setattr(GradedTable, "_from_normal", classmethod(recorded))
+    stems._smash_table.cache_clear()
+    for n, bound in ((1, 12), (2, 6), (3, 4), (4, 3)):
+        for s, c in stems.box_columns(n, bound):
+            stems.oracle_column(n, s, c)
+            sphere_homology(VirtualRep(n, -1, s, c))
+    assert stems._smash_table.cache_info().currsize == 3324
+    assert len(built) > 3324
+    for table in built:
+        assert table == GradedTable(table.n, table.entries)
+    stems._smash_table.cache_clear()
+
+
 def stack_depth():
     frame, depth = sys._getframe(), 0
     while frame is not None:
