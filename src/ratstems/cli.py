@@ -10,7 +10,9 @@ two B_G Sigma_2 candidates) and ``selftest``.
 
 Output is line-oriented text with `` | `` separated fields, or JSON
 lines under ``--format records``; ``--out PATH`` tees the output to a
-file.
+file.  Each ``cmd_*`` handler returns ``(rows, status)``: one
+``(template, record)`` pair per record, the record being its JSON line
+and ``template.format_map`` of it its text rows.
 Exit codes: 0 on success (including comparisons whose documented
 verdict is FAILS), 1 when mathematics breaks (method disagreement, a
 non-sign-isotypic Weyl module, selftest failure), 2 on usage or syntax
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from itertools import islice, repeat
@@ -47,8 +50,10 @@ def _agree(results: Mapping[str, Any]) -> bool:
     return values.count(values[0]) == len(values)
 
 
-# a stem method's column function, named in annotations only
+# a stem method's column function, and a handler's (template, record)
+# output row, named in annotations only
 Column = "Callable[[int, int, tuple[int, ...]], Mapping[int, MackeyClass]]"
+Row = "tuple[str, dict]"
 
 # Columns per chunk of a scan: each method answers a chunk in one map,
 # and a chunk whose methods' answer lists are equal is accepted whole.
@@ -252,7 +257,7 @@ def _check_negative_control() -> str | None:
     return None
 
 
-def cmd_selftest(args: argparse.Namespace) -> tuple[list[dict], int]:
+def cmd_selftest(args: argparse.Namespace) -> tuple[list[Row], int]:
     n_max, box = (3, 3) if args.deep else (2, 2)
     checks: list[tuple[str, Callable[[], str | None]]] = [
         ("three_way_agreement", lambda: _check_three_way(n_max, box)),
@@ -264,18 +269,23 @@ def cmd_selftest(args: argparse.Namespace) -> tuple[list[dict], int]:
         ("collapse_roundtrip", lambda: _check_collapse(8 if args.deep else 5)),
         ("negative_control", _check_negative_control),
     ]
-    records = []
+    rows = []
     for name, fn in checks:
         detail = fn()
-        records.append({"check": name, "ok": detail is None, "detail": detail})
-    failed = sum(1 for r in records if not r["ok"])
-    records.append({"checks": len(checks), "failed": failed})
-    return records, 1 if failed else 0
+        rows.append(("check={check} | status=ok" if detail is None else
+                     "check={check} | status=FAIL | detail={detail}",
+                     {"check": name, "ok": detail is None, "detail": detail}))
+    failed = sum(1 for _, rec in rows if not rec["ok"])
+    rows.append(("checks={checks} | failed={failed}",
+                 {"checks": len(checks), "failed": failed}))
+    return rows, 1 if failed else 0
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns (records, exit status); the text
-# rows are derived from the records by ``text_rows``.
+# Subcommand handlers.  Each returns (rows, exit status), a row being a
+# (template, record) pair: the record is its JSON line, and the
+# str.format_map template, written where the record is built, its text
+# rows (one per line of the template, read through ``_View``).
 
 def _class_record(cls: MackeyClass) -> dict:
     rec = cls.to_record()
@@ -283,207 +293,156 @@ def _class_record(cls: MackeyClass) -> dict:
     return rec
 
 
-def cmd_stems(args: argparse.Namespace) -> tuple[list[dict], int]:
+def cmd_stems(args: argparse.Namespace) -> tuple[list[Row], int]:
     names = [args.method] if args.method else sorted(STEM_METHODS)
     table = {name: STEM_METHODS[name] for name in names}
+    # a --degree answer names n, a --scan disagreement does not
+    head = "n={n} | degree={degree}" if args.degree is not None else "degree={degree}"
+    row = " | ".join([head, *(f"{name}={{results[{name}][text]}}" for name in names),
+                      "agree={agree}"])
 
-    def record(v: VirtualRep, results: Mapping[str, MackeyClass]) -> dict:
-        return {"command": "stems", "n": args.n, "degree": str(v),
-                "results": {name: _class_record(results[name]) for name in names},
-                "agree": _agree(results)}
+    def record(v: VirtualRep, results: Mapping[str, MackeyClass]) -> Row:
+        return row, {"command": "stems", "n": args.n, "degree": str(v),
+                     "results": {name: _class_record(results[name]) for name in names},
+                     "agree": _agree(results)}
 
     if args.degree is not None:
         v = parse_degree(args.degree, args.n)
         zero = MackeyClass.zero(v.n)
-        rec = record(v, {name: column(v.n, v.s, v.c).get(v.d, zero)
-                         for name, column in table.items()})
-        return [rec], 0 if rec["agree"] else 1
+        results = {name: column(v.n, v.s, v.c).get(v.d, zero)
+                   for name, column in table.items()}
+        return [record(v, results)], 0 if _agree(results) else 1
     checked, bad = compare_methods(args.n, args.scan, table)
-    records = [record(v, results) for v, results in bad]
-    records.append({"command": "stems", "n": args.n, "scanned": checked,
-                    "disagreements": len(bad)})
-    return records, 1 if bad else 0
+    rows = [record(v, results) for v, results in bad]
+    rows.append(("n={n} | scanned={scanned} | disagreements={disagreements}",
+                 {"command": "stems", "n": args.n, "scanned": checked,
+                  "disagreements": len(bad)}))
+    return rows, 1 if bad else 0
 
 
-def cmd_sphere(args: argparse.Namespace) -> tuple[list[dict], int]:
+def cmd_sphere(args: argparse.Namespace) -> tuple[list[Row], int]:
     v = parse_degree(args.rep, args.n)
     sphere = str(v)
-    return [{"command": "sphere", "n": args.n, "sphere": sphere, "degree": d,
-             "class": _class_record(cls),
-             "level_dims": list(cls.level_dims())}
+    return [("degree={degree} | class={class[text]} | level_dims={level_dims}",
+             {"command": "sphere", "n": args.n, "sphere": sphere, "degree": d,
+              "class": _class_record(cls), "level_dims": list(cls.level_dims())})
             for d, cls in sphere_homology(v).entries], 0
 
 
-def cmd_point_presentation(args: argparse.Namespace) -> tuple[list[dict], int]:
+def cmd_point_presentation(args: argparse.Namespace) -> tuple[list[Row], int]:
     pres = point_presentation(args.n)
     # a degree takes O(n) to format and the generators of one degree are
     # consecutive, so each distinct degree is formatted once
     degree, text = None, ""
-    records = []
+    rows = []
     for g in pres.generators:
         if g.degree is not degree:
             degree, text = g.degree, str(g.degree)
-        records.append({"command": "point-presentation", "kind": "generator",
-                        "family": g.family, "sector": g.sector,
-                        "lam_index": g.lam_index, "degree": text,
-                        "name": g.name, "partner": g.partner, "spans": g.spans()})
-    records += [{"command": "point-presentation", "kind": "relation", "relation": rel}
-                for rel in pres.relations]
-    records.append({"command": "point-presentation", "kind": "summary",
-                    "normalization": pres.normalization,
-                    "generators": pres.generator_count()})
-    return records, 0
+        rows.append(("family={family} | sector={sector} | degree={degree} | name={name}"
+                     " | partner={partner} | spans={spans}",
+                     {"command": "point-presentation", "kind": "generator",
+                      "family": g.family, "sector": g.sector,
+                      "lam_index": g.lam_index, "degree": text,
+                      "name": g.name, "partner": g.partner, "spans": g.spans()}))
+    rows += [("relation={relation}",
+              {"command": "point-presentation", "kind": "relation", "relation": rel})
+             for rel in pres.relations]
+    rows.append(("normalization={normalization}\ngenerators={generators}",
+                 {"command": "point-presentation", "kind": "summary",
+                  "normalization": pres.normalization,
+                  "generators": pres.generator_count()}))
+    return rows, 0
 
 
-def cmd_burnside(args: argparse.Namespace) -> tuple[list[dict], int]:
+def cmd_burnside(args: argparse.Namespace) -> tuple[list[Row], int]:
     level = args.n if args.level is None else args.level
     basis = [("1", BurnsideElement.one(args.n, level))]
     basis += [(f"x[{level},{j}]", BurnsideElement.x(args.n, level, j))
               for j in range(level)]
-    records = [{"command": "burnside", "n": args.n, "level": level,
-                "element": name, "marks": [str(q) for q in elem.marks()]}
-               for name, elem in basis]
-    records += [{"command": "burnside", "n": args.n, "level": level,
-                 "idempotent": h, "expansion": str(e), "element_record": e.to_record()}
-                for h, e in enumerate(idempotents(args.n, level))]
-    return records, 0
+    rows = [("element={element} | marks={marks}",
+             {"command": "burnside", "n": args.n, "level": level,
+              "element": name, "marks": [str(q) for q in elem.marks()]})
+            for name, elem in basis]
+    rows += [("idempotent=e{idempotent} | expansion={expansion}",
+              {"command": "burnside", "n": args.n, "level": level,
+               "idempotent": h, "expansion": str(e), "element_record": e.to_record()})
+             for h, e in enumerate(idempotents(args.n, level))]
+    return rows, 0
 
 
-def cmd_bgs1(args: argparse.Namespace) -> tuple[list[dict], int]:
+def cmd_bgs1(args: argparse.Namespace) -> tuple[list[Row], int]:
     pres = bgs1_presentation(args.n, args.maxdeg)
     assembled = gm_assemble(fixed_point_data("bs1", args.n, args.maxdeg))
     matches = pres.table == assembled
-    records = [{"command": "bgs1", "kind": "generator", "name": name, "degree": deg}
-               for name, deg in pres.degrees]
-    records += [{"command": "bgs1", "kind": "relation", "relation": rel}
-                for rel in pres.relations]
-    records += [{"command": "bgs1", "kind": "completion", "conductor": m,
-                 "element": str(elem), "element_record": elem.to_record()}
-                for m, elem in pres.completion]
-    records += [{"command": "bgs1", "kind": "table", "degree": d,
-                 "class": _class_record(cls)}
-                for d, cls in pres.table.entries]
-    records.append({"command": "bgs1", "kind": "summary", "n": args.n,
-                    "maxdeg": args.maxdeg, "top_series": str(pres.top_series()),
-                    "matches_assembly": matches})
-    return records, 0 if matches else 1
+    rows = [("generator={name} | degree={degree}",
+             {"command": "bgs1", "kind": "generator", "name": name, "degree": deg})
+            for name, deg in pres.degrees]
+    rows += [("relation={relation}", {"command": "bgs1", "kind": "relation", "relation": rel})
+             for rel in pres.relations]
+    rows += [("completion | conductor={conductor} | element={element}",
+              {"command": "bgs1", "kind": "completion", "conductor": m,
+               "element": str(elem), "element_record": elem.to_record()})
+             for m, elem in pres.completion]
+    rows += [("degree={degree} | class={class[text]}",
+              {"command": "bgs1", "kind": "table", "degree": d, "class": _class_record(cls)})
+             for d, cls in pres.table.entries]
+    rows.append(("top_series={top_series}\nmatches_assembly={matches_assembly}",
+                 {"command": "bgs1", "kind": "summary", "n": args.n,
+                  "maxdeg": args.maxdeg, "top_series": str(pres.top_series()),
+                  "matches_assembly": matches}))
+    return rows, 0 if matches else 1
 
 
-def cmd_bgsigma2(args: argparse.Namespace) -> tuple[list[dict], int]:
+def cmd_bgsigma2(args: argparse.Namespace) -> tuple[list[Row], int]:
     diagram = fixed_point_data("bsigma2", args.n, args.maxdeg)
     table = gm_assemble(diagram)
-    records = [{"command": "bgsigma2", "kind": "level", "level": h,
-                "components": level.count()}
-               for h, level in enumerate(diagram.levels)]
-    records += [{"command": "bgsigma2", "kind": "table", "degree": d,
-                 "class": _class_record(cls),
-                 "level_dims": list(cls.level_dims())}
-                for d, cls in table.entries]
-    return records, 0
+    rows = [("level={level} | components={components}",
+             {"command": "bgsigma2", "kind": "level", "level": h,
+              "components": level.count()})
+            for h, level in enumerate(diagram.levels)]
+    rows += [("degree={degree} | class={class[text]} | level_dims={level_dims}",
+              {"command": "bgsigma2", "kind": "table", "degree": d,
+               "class": _class_record(cls), "level_dims": list(cls.level_dims())})
+             for d, cls in table.entries]
+    return rows, 0
 
 
-def cmd_bgu(args: argparse.Namespace) -> tuple[list[dict], int]:
+def cmd_bgu(args: argparse.Namespace) -> tuple[list[Row], int]:
     diagram = fixed_point_data("bu", args.n, args.maxdeg, m=args.m)
-    return [{"command": "bgu", "kind": "level", "n": args.n, "m": args.m, "level": h,
-             "components": level.count(), "series": str(level.series)}
+    return [("level={level} | components={components} | series={series}",
+             {"command": "bgu", "kind": "level", "n": args.n, "m": args.m, "level": h,
+              "components": level.count(), "series": str(level.series)})
             for h, level in enumerate(diagram.levels)], 0
 
 
-def cmd_torus_check(args: argparse.Namespace) -> tuple[list[dict], int]:
+def cmd_torus_check(args: argparse.Namespace) -> tuple[list[Row], int]:
     if args.lie == "um":
         result = torus_check_u(args.n, args.m, args.maxdeg)
-        records = [{"command": "torus-check", "lie": "um", "n": args.n, "m": args.m,
-                    "level": h, "lhs": str(lhs), "rhs": str(rhs), "match": lhs == rhs}
-                   for h, lhs, rhs in result.levels]
-        records.append({"command": "torus-check", "lie": "um", "n": args.n,
-                        "m": args.m, "verdict": result.verdict()})
-        return records, 0 if result.holds() else 1
+        rows = [("level={level} | lhs={lhs} | rhs={rhs} | match={match}",
+                 {"command": "torus-check", "lie": "um", "n": args.n, "m": args.m,
+                  "level": h, "lhs": str(lhs), "rhs": str(rhs), "match": lhs == rhs})
+                for h, lhs, rhs in result.levels]
+        rows.append(("verdict={verdict}",
+                     {"command": "torus-check", "lie": "um", "n": args.n,
+                      "m": args.m, "verdict": result.verdict()}))
+        return rows, 0 if result.holds() else 1
     result = torus_check_su2(args.n, action=args.su2_torus_action)
-    return [{"command": "torus-check", "lie": "su2", "n": args.n,
-             "action": result.action, "lhs": result.lhs,
-             "rhs": result.rhs, "verdict": result.verdict()}], 0
+    return [("action={action} | lhs={lhs} | rhs={rhs} | verdict={verdict}",
+             {"command": "torus-check", "lie": "su2", "n": args.n,
+              "action": result.action, "lhs": result.lhs,
+              "rhs": result.rhs, "verdict": result.verdict()})], 0
 
 
-def cmd_consistency(args: argparse.Namespace) -> tuple[list[dict], int]:
+def cmd_consistency(args: argparse.Namespace) -> tuple[list[Row], int]:
     comp = bsigma2_consistency(args.n, args.maxdeg)
-    records = [{"command": "consistency", "target": args.target, "n": args.n,
-                "degree": degree, "level": level, "assembled": da, "quotient": dq}
-               for degree, level, da, dq in comp.differences]
-    records.append({"command": "consistency", "target": args.target, "n": args.n,
-                    "differences": len(comp.differences), "agree": comp.agree()})
-    return records, 0
-
-
-# ---------------------------------------------------------------------------
-# Text rows.
-
-def _field(key: str, value: Any) -> str:
-    if isinstance(value, bool):
-        value = "yes" if value else "no"
-    elif isinstance(value, dict):  # a class record
-        value = value["text"]
-    elif isinstance(value, list):
-        value = ",".join(map(str, value))
-    return f"{key}={value}"
-
-
-def _fields(rec: dict, *keys: str) -> str:
-    return " | ".join(_field(key, rec[key]) for key in keys)
-
-
-def text_rows(args: argparse.Namespace, rec: dict) -> list[str]:
-    """The text rows of one record.  Most records give one row of some
-    of their fields in a fixed order; the point-presentation and bgs1
-    summaries give one row per field.  The namespace settles what the
-    record alone does not."""
-    match args.command, rec:
-        case "stems", {"results": results}:
-            # a --degree answer names n, a --scan disagreement does not
-            head = ["n"] if args.degree is not None else []
-            cols = [_field(name, cls) for name, cls in results.items()]
-            return [" | ".join([_fields(rec, *head, "degree"), *cols,
-                                _field("agree", rec["agree"])])]
-        case "stems", _:
-            return [_fields(rec, "n", "scanned", "disagreements")]
-        case ("sphere", _) | ("bgsigma2", {"kind": "table"}):
-            return [_fields(rec, "degree", "class", "level_dims")]
-        case "point-presentation", {"kind": "generator"}:
-            return [_fields(rec, "family", "sector", "degree", "name", "partner", "spans")]
-        case "point-presentation" | "bgs1", {"kind": "relation"}:
-            return [_fields(rec, "relation")]
-        case "point-presentation", _:
-            return [_fields(rec, "normalization"), _fields(rec, "generators")]
-        case "burnside", {"element": _}:
-            return [_fields(rec, "element", "marks")]
-        case "burnside", _:
-            return [f"idempotent=e{rec['idempotent']} | {_fields(rec, 'expansion')}"]
-        case "bgs1", {"kind": "generator"}:
-            return [f"generator={rec['name']} | {_fields(rec, 'degree')}"]
-        case "bgs1", {"kind": "completion"}:
-            return ["completion | " + _fields(rec, "conductor", "element")]
-        case "bgs1", {"kind": "table"}:
-            return [_fields(rec, "degree", "class")]
-        case "bgs1", _:
-            return [_fields(rec, "top_series"), _fields(rec, "matches_assembly")]
-        case "bgsigma2", _:
-            return [_fields(rec, "level", "components")]
-        case "bgu", _:
-            return [_fields(rec, "level", "components", "series")]
-        case "torus-check", {"lie": "su2"}:
-            return [_fields(rec, "action", "lhs", "rhs", "verdict")]
-        case "torus-check", {"verdict": _}:
-            return [_fields(rec, "verdict")]
-        case "torus-check", _:
-            return [_fields(rec, "level", "lhs", "rhs", "match")]
-        case "consistency", {"differences": _}:
-            return [_fields(rec, "differences", "agree")]
-        case "consistency", _:
-            return [_fields(rec, "degree", "level", "assembled", "quotient")]
-        case "selftest", {"check": check, "ok": ok}:
-            row = f"check={check} | status={'ok' if ok else 'FAIL'}"
-            return [row if ok else f"{row} | detail={rec['detail']}"]
-        case _:  # the selftest summary
-            return [_fields(rec, "checks", "failed")]
+    rows = [("degree={degree} | level={level} | assembled={assembled} | quotient={quotient}",
+             {"command": "consistency", "target": args.target, "n": args.n,
+              "degree": degree, "level": level, "assembled": da, "quotient": dq})
+            for degree, level, da, dq in comp.differences]
+    rows.append(("differences={differences} | agree={agree}",
+                 {"command": "consistency", "target": args.target, "n": args.n,
+                  "differences": len(comp.differences), "agree": comp.agree()}))
+    return rows, 0
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +536,17 @@ def _join_degree_values(argv: Sequence[str]) -> list[str]:
     return out
 
 
+class _View(dict):
+    """A record as its text rows read it: a bool as yes or no, and a
+    list as its items joined by commas."""
+
+    def __getitem__(self, key: str) -> Any:
+        value = dict.__getitem__(self, key)
+        if value is True or value is False:
+            return "yes" if value else "no"
+        return ",".join(map(str, value)) if type(value) is list else value
+
+
 # json.dumps(rec, sort_keys=True) without a new encoder for every record
 _encode_record = json.JSONEncoder(sort_keys=True).encode
 
@@ -592,11 +562,11 @@ def run(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         # looked up on every run, so a rebound cmd_* global takes effect
-        records, status = globals()["cmd_" + args.command.replace("-", "_")](args)
+        rows, status = globals()["cmd_" + args.command.replace("-", "_")](args)
         if args.format == "records":
-            lines = list(map(_encode_record, records))
+            lines = [_encode_record(rec) for _, rec in rows]
         else:
-            lines = [row for rec in records for row in text_rows(args, rec)]
+            lines = [template.format_map(_View(rec)) for template, rec in rows]
         text = "\n".join(lines)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as out:
@@ -613,7 +583,13 @@ def run(argv: Sequence[str] | None = None) -> int:
     except OverflowError as exc:  # a size past the platform's index range, such as --n 10**20
         print(f"error: input too large: {exc}", file=sys.stderr)
         return 2
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: the answer keeps its status, and
+        # stdout points at devnull so the interpreter's last flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

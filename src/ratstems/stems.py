@@ -616,25 +616,28 @@ def point_presentation(n: int) -> PointPresentation:
     if n < 1:
         raise ValueError("the presentation needs n >= 1")
     gens: list[PresentationGenerator] = []
-    sig = VirtualRep.sigma(n)
-    deg = VirtualRep.one(n, 1) - sig
+    # each degree built once from its coordinates: 1 - sigma, 2 - l_k and
+    # -l_k (-1 in rotation slot k), and -sigma
+    zeros = (0,) * (n - 1)
+    minus_lam = [zeros[:k] + (-1,) + zeros[k + 1:] for k in range(n - 1)]
+    deg = VirtualRep(n, 1, -1, zeros)
     for i in range(n):
         gens.append(PresentationGenerator(
             1, i, None, MINUS, deg,
             f"y{i}*res(u_sigma)", f"y{i}/res(u_sigma)"))
-    for k in range(n - 1):
-        deg = VirtualRep.one(n, 2) - VirtualRep.lam(n, k)
+    for k, c in enumerate(minus_lam):
+        deg = VirtualRep(n, 2, 0, c)
         for i in range(k + 1):
             gens.append(PresentationGenerator(
                 2, i, k, PLUS, deg,
                 f"y{i}*res(u_l{k})", f"y{i}/res(u_l{k})"))
-    for k in range(n - 1):
-        deg = -VirtualRep.lam(n, k)
+    for k, c in enumerate(minus_lam):
+        deg = VirtualRep(n, 0, 0, c)
         for i in range(k + 1, n + 1):
             gens.append(PresentationGenerator(
                 3, i, k, PLUS, deg,
                 f"y{i}*res(a_l{k})", f"y{i}/res(a_l{k})"))
-    gens.append(PresentationGenerator(4, n, None, PLUS, -sig,
+    gens.append(PresentationGenerator(4, n, None, PLUS, VirtualRep(n, 0, -1, zeros),
                                       "a_sigma", f"y{n}/a_sigma"))
     relations = [f"({g.name})*({g.partner}) = y{g.sector}" for g in gens]
     relations.append("a_sigma*u_2sigma = 0")

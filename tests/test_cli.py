@@ -5,6 +5,7 @@ codes, both output formats, the file sink, and the failure paths
 import argparse
 import copy
 import json
+import os
 import pickle
 import subprocess
 import sys
@@ -301,6 +302,21 @@ def test_out_flag_tees_to_file(capsys, tmp_path):
     assert target.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
 
+def test_closed_stdout_keeps_the_status():
+    # the reader takes 300 bytes of a 3.6 MB answer and closes the pipe:
+    # the answer's status stands, with no traceback and no warning from
+    # the interpreter's last flush
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    argv = [sys.executable, "-m", "ratstems.cli", "burnside", "--n", "400"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        assert len(proc.stdout.read(300)) == 300
+        proc.stdout.close()
+        err = proc.stderr.read()
+        status = proc.wait(timeout=60)
+    assert (status, err) == (0, b"")
+
+
 def test_selftest_battery(capsys):
     status, lines, _ = run_lines(capsys, ["selftest"])
     assert status == 0
@@ -492,7 +508,7 @@ def test_handler_is_looked_up_on_every_run(capsys, monkeypatch):
     status, out, _ = outcome(capsys, argv)
     assert status == 0 and '"agree": true' in out
     # rebinding after the parser is cached still reaches the next run
-    monkeypatch.setattr(cli, "cmd_stems", lambda args: ([{"n": args.n}], 1))
+    monkeypatch.setattr(cli, "cmd_stems", lambda args: ([("n={n}", {"n": args.n})], 1))
     assert outcome(capsys, argv) == (1, '{"n": 1}\n', "")
 
 

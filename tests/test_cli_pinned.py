@@ -1,11 +1,11 @@
-"""Pinned output hashes of the fixed-point-diagram commands at sizes the
-goldens do not reach.
+"""Pinned output hashes of the fixed-point-diagram commands, and of the
+other rendered record kinds, at sizes the goldens do not reach.
 
 ``tests/data/cli_golden.json`` holds whole outputs, so it keeps to small
 groups.  Here each command runs at a larger n or degree bound in both
 output formats, and the sha256 of its stdout is compared with a frozen
-value.  A change to how diagrams are built or assembled must leave
-these bytes alone.
+value.  A change to how diagrams are built or assembled, or to how a
+record is rendered, must leave these bytes alone.
 
 Recompute a hash (only when an output change is intended) by running
 the command with ``--format text`` or ``--format records`` and hashing
@@ -51,12 +51,48 @@ PINNED = {
     },
 }
 
+# the record kinds the goldens reach only at n <= 3: point-presentation
+# generators, Burnside elements and idempotents below the top level,
+# sphere rows with level dimensions, a --degree stem and a scan summary
+RENDERED = {
+    ("point-presentation", "--n", "6"): {
+        "text": "8e87b5aaa8ce637a510fdfd6bc5c8d56dd7be50df5799850bf49084240044a7d",
+        "records": "8728dcf23cd61ce084ee3642c9f4cfe47c75db04528a4ddddea10f7d5db17332",
+    },
+    ("burnside", "--n", "6", "--level", "4"): {
+        "text": "248c4fc6f0d7f19b1f31399f87870a4ed9e4578158f6bb51e45e04b839977381",
+        "records": "ff533693adf37e1dff1d374974dc0a60b69afd3ecfc136db77b68b18cdd4546d",
+    },
+    ("sphere", "--n", "5", "--rep", "3*sigma - 2*l0 + l2"): {
+        "text": "95652e56a2195ff94ac8d5ea291c65f601eb4da514f8f160a21fd4fc83d12e74",
+        "records": "bf75c988b29f94385ae4cd937345eb31c9051be4db2bc3ebfce0c25e7a7650dc",
+    },
+    ("stems", "--n", "4", "--degree", "1 - sigma + l1"): {
+        "text": "f5635e16e039464b34966b5ea08d051dbb4e3998764f48dcc91ec1d5a35597a0",
+        "records": "d3407d200e58bf3f07252abdef840a51ee2b71639c41c11444749848a204bbe8",
+    },
+    ("stems", "--n", "3", "--scan", "2"): {
+        "text": "b7b77e0420001c67251277e41adb4175f7ed99670b5fd7f24aa0368b67cddbcb",
+        "records": "6f725edcdd0c31ab083d16fa2932864d8d63ab374490a291276b16ca0e735fc6",
+    },
+}
 
-@pytest.mark.parametrize("fmt", ["text", "records"])
-@pytest.mark.parametrize("argv", sorted(PINNED), ids=" ".join)
-def test_diagram_output_hash(argv, fmt):
+
+def _stdout_hash(argv, fmt):
     stdout = io.StringIO()
     with redirect_stdout(stdout):
         status = cli.run([*argv, "--format", fmt])
     assert status == 0
-    assert hashlib.sha256(stdout.getvalue().encode()).hexdigest() == PINNED[argv][fmt]
+    return hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("argv", sorted(PINNED), ids=" ".join)
+def test_diagram_output_hash(argv, fmt):
+    assert _stdout_hash(argv, fmt) == PINNED[argv][fmt]
+
+
+@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("argv", sorted(RENDERED), ids=" ".join)
+def test_rendered_output_hash(argv, fmt):
+    assert _stdout_hash(argv, fmt) == RENDERED[argv][fmt]
